@@ -36,14 +36,15 @@ the ``repro`` source changes)::
     repro experiment fig18 --jobs 4 --cache-dir ~/.cache/solarcore
 
 Resilience flags (same commands): ``--retries N`` re-runs failed sweep
-tasks with exponential backoff, ``--task-timeout S`` bounds each task,
-and ``--checkpoint FILE`` + ``--resume`` make long campaigns crash-safe.
+tasks with exponential backoff and ``--task-timeout S`` bounds each task.
+Every finished cell is stored to the ``--cache-dir`` as it arrives, so a
+crashed campaign resumes by rerunning it with the same ``--cache-dir``.
 ``simulate``/``rack``/``campaign`` accept ``--faults SPEC`` to inject a
 deterministic fault schedule (see ``repro.faults``)::
 
     repro campaign --sites AZ TN --months 1 7 --jobs 4 \\
         --faults 'sensor_dropout@600-660,seed=7' \\
-        --checkpoint /tmp/campaign.ckpt --resume
+        --cache-dir /tmp/campaign-cache
 
 Performance observability: ``repro profile`` (or ``--profile`` on any
 simulating command) attributes wall-time to engine phases and counts
@@ -238,15 +239,12 @@ def _sweep_runner(args: argparse.Namespace):
     experiment functions fall back to the module-level default runner
     otherwise, which is pinned to the exact-solver default-chip config.
     """
-    if args.resume and args.checkpoint is None:
-        raise SystemExit("error: --resume requires --checkpoint FILE")
     config = _solver_config(args)
     wants_runner = (
         args.jobs > 1
         or args.cache_dir is not None
         or args.retries > 0
         or args.task_timeout is not None
-        or args.checkpoint is not None
         or config.solver != "exact"
         or config.chip_spec != "alpha8"
     )
@@ -254,21 +252,12 @@ def _sweep_runner(args: argparse.Namespace):
         return None
     from repro.harness.runner import SimulationRunner
 
-    checkpoint = None
-    if args.checkpoint is not None:
-        from repro.harness.checkpoint import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint(args.checkpoint, config)
-        if args.resume:
-            restored = checkpoint.load()
-            print(f"resumed {restored} completed task(s) from {args.checkpoint}")
     return SimulationRunner(
         config,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         retries=args.retries,
         task_timeout=args.task_timeout,
-        checkpoint=checkpoint,
     )
 
 
@@ -311,9 +300,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Run day simulation(s) purely to profile them.
 
-    The profiler itself is armed by :func:`main` (the ``profile`` command
-    always installs a hub with a
-    :class:`~repro.telemetry.profiling.PhaseProfiler`); this handler just
+    The profile itself is armed by :func:`main` (the ``profile`` command
+    always installs a hub with ``profile=True``); this handler just
     runs the requested days and prints the headline result — the phase
     report follows from the shared summary path.
     """
@@ -479,12 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="per-task wall-clock budget for parallel sweeps; "
                           "tasks over budget are failed and retried")
-    res.add_argument("--checkpoint", default=None, metavar="FILE",
-                     help="periodically record completed sweep cells to FILE "
-                          "(atomic snapshots; see --resume)")
-    res.add_argument("--resume", action="store_true",
-                     help="resume from --checkpoint FILE: completed cells "
-                          "are skipped, only the remainder is computed")
 
     # Electrical solver choice for the simulating commands, e.g.
     #   repro campaign --sites AZ TN --solver table
@@ -781,9 +763,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro import telemetry
 
-    hub = telemetry.Telemetry(
-        profiler=telemetry.PhaseProfiler() if profiling else None
-    )
+    hub = telemetry.Telemetry(profile=profiling)
     if args.trace:
         try:
             hub.add_sink(telemetry.JsonlSink(args.trace))
@@ -805,7 +785,7 @@ def main(argv: list[str] | None = None) -> int:
         if summary:
             print(f"\n{summary}")
     if profiling:
-        report = telemetry.render_profile(hub.profile)
+        report = telemetry.render_profile(hub)
         if report:
             print(f"\n{report}")
         else:

@@ -148,9 +148,7 @@ def run_campaign(
         )
     tel = telemetry_hub.current()
     cells = []
-    with tel.span(
-        "run_campaign", mix=mix_name, policy=policy, days_per_cell=days_per_cell
-    ):
+    with tel.span("run_campaign"):
         if runner is not None:
             from repro.harness.parallel import SweepTask
 

@@ -316,9 +316,6 @@ class SolarCoreController:
             return TrackingResult(0, 0.0, 0.0, 0.0, self.converter.k, False)
 
         tel = self._tel
-        prof = tel.profile
-        if prof.enabled:
-            start = prof.clock()
         self._raises = 0
         self._sheds = 0
         with tel.span("controller.track"):
@@ -328,9 +325,6 @@ class SolarCoreController:
                 )
             except _SensorStale:
                 result = self._enter_degraded(irradiance, cell_temp_c, minute, cfg)
-        if prof.enabled:
-            prof.add("controller.track", prof.clock() - start)
-            prof.count("controller.track_events")
         if tel.enabled:
             tel.observe(
                 "controller.track_iterations",

@@ -263,7 +263,11 @@ class DayEngine:
         # closed form cannot represent (fault wrappers, shaded strings),
         # in which case the run silently stays on the exact solvers.
         self.surfaces = None
+        #: Why this table-mode day keeps the scalar loop instead of the
+        #: batched fast path (None: it batches, or the solver is exact).
+        self.fastday_decline = None
         if self.config.solver == "table":
+            from repro.core import fastday
             from repro.power.surface import get_surfaces
 
             self.surfaces = get_surfaces(self.array)
@@ -273,30 +277,28 @@ class DayEngine:
                     controller.surfaces = self.surfaces
                 else:
                     controller.surfaces = get_surfaces(controller.array)
+            self.fastday_decline = fastday.decline_reason(self, self.telemetry)
 
     def run(self):
         """Step the whole day; return the recorder's built result."""
         tel = self.telemetry
-        prof = tel.profile
-        if not prof.enabled:
-            if self.span_name is None:
-                return self._run(tel)
-            with tel.span(self.span_name, **self.span_attrs):
-                return self._run(tel)
-        attrs = self.span_attrs
-        cell = (
-            (str(attrs["location"]), attrs["month"])
-            if "location" in attrs and "month" in attrs
-            else None
-        )
-        label = self.span_name or self.policy.name
-        if "mix" in attrs:
-            label = f"{label} mix={attrs['mix']}"
-        with prof.day(label, cell):
-            if self.span_name is None:
-                return self._run(tel)
-            with tel.span(self.span_name, **self.span_attrs):
-                return self._run(tel)
+        if self.span_name is None:
+            return self._run(tel)
+        day = None
+        if tel.profiling:
+            # The day's own timer records its profile when it closes.
+            attrs = self.span_attrs
+            label = self.span_name
+            if "mix" in attrs:
+                label = f"{label} mix={attrs['mix']}"
+            cell = (
+                (str(attrs["location"]), attrs["month"])
+                if "location" in attrs and "month" in attrs
+                else None
+            )
+            day = (label, cell)
+        with tel.span(self.span_name, day=day):
+            return self._run(tel)
 
     def _run(self, tel):
         policy = self.policy
@@ -309,20 +311,23 @@ class DayEngine:
         # Batched fast path: when the table solver is active and nothing
         # requires per-step hooks (no fault injection, no event telemetry),
         # supported policies can be evaluated as NumPy array programs over
-        # whole spans of minutes.  ``run_fast`` fills the recorder and the
-        # ledger and returns True, or returns False to keep the scalar loop.
-        if surfaces is not None and self.faults is None and not tel.enabled:
-            from repro.core import fastday
+        # whole spans of minutes.  An enabled hub counts every table-mode
+        # day that keeps the scalar loop under ``fastday.declined.<reason>``.
+        if self.config.solver == "table":
+            if self.fastday_decline is None:
+                from repro.core import fastday
 
-            if fastday.run_fast(self, tel):
-                return self._finish(tel)
+                if fastday.run_fast(self, tel):
+                    return self._finish(tel)
+            elif tel.enabled:
+                tel.count(f"fastday.declined.{self.fastday_decline}")
         # Per-phase profiling: `profiling` is hoisted once, so the default
-        # disabled path pays one local-bool check per phase site; enabled
-        # profiling books each step region into an exclusive `step.*`
-        # partition phase (see repro.telemetry.profiling).
-        prof = tel.profile
-        profiling = prof.enabled
-        clock = prof.clock
+        # path pays one local-bool check per phase site; a profiling hub
+        # books each step region into an exclusive `step.*` partition
+        # phase (see repro.telemetry.timers).
+        profiling = tel.profiling
+        if profiling:
+            clock, book = tel.timers.clock, tel.timers.add
         t0 = t1 = t2 = t3 = t4 = 0.0
 
         for index in range(len(trace.minutes) - 1):
@@ -336,7 +341,7 @@ class DayEngine:
             cell_temp = array.cell_temperature_from_ambient(irradiance, ambient)
             if profiling:
                 t1 = clock()
-                prof.add("step.trace", t1 - t0)
+                book("step.trace", t1 - t0)
             mpp = (
                 surfaces.mpp(irradiance, cell_temp)
                 if surfaces is not None
@@ -344,7 +349,7 @@ class DayEngine:
             )
             if profiling:
                 t2 = clock()
-                prof.add("step.mpp_solve", t2 - t1)
+                book("step.mpp_solve", t2 - t1)
             ctx = StepContext(
                 index=index,
                 minute=minute,
@@ -374,7 +379,7 @@ class DayEngine:
                 on_solar = policy.solar_eligible(ctx)
             if profiling:
                 t3 = clock()
-                prof.add("step.supply", t3 - t2)
+                book("step.supply", t3 - t2)
 
             if on_solar:
                 if not on_solar_prev:
@@ -384,11 +389,11 @@ class DayEngine:
                 sample = policy.utility_step(ctx)
             if profiling:
                 t4 = clock()
-                prof.add("step.policy", t4 - t3)
+                book("step.policy", t4 - t3)
             recorder.record(ctx, on_solar, sample)
             self.ledger.book(on_solar, sample, dt)
             if profiling:
-                prof.add("step.record", clock() - t4)
+                book("step.record", clock() - t4)
             on_solar_prev = on_solar
 
         return self._finish(tel)
@@ -398,11 +403,10 @@ class DayEngine:
         policy = self.policy
         recorder = self.recorder
         trace = self.trace
-        prof = tel.profile
-        profiling = prof.enabled
-        clock = prof.clock
+        profiling = tel.profiling
         t0 = 0.0
         if profiling:
+            clock = tel.timers.clock
             t0 = clock()
         if tel.enabled:
             tel.count("sim.days")
@@ -419,5 +423,5 @@ class DayEngine:
             policy.final_telemetry(tel)
         result = recorder.build(self)
         if profiling:
-            prof.add("day.build", clock() - t0)
+            tel.timers.add("day.build", clock() - t0)
         return result

@@ -22,9 +22,10 @@ interpolation surface, per-core IPC, the ATS floor).
 
 The fast path runs only when nothing needs per-step hooks: table solver
 active, no fault injection, event telemetry disabled, and a policy /
-recorder pair this module knows how to batch.  Anything else returns
-``False`` from :func:`run_fast` and the engine keeps its scalar loop —
-which in table mode is still surface-backed, just stepped per minute.
+recorder pair this module knows how to batch.  Anything else keeps the
+engine's scalar loop — which in table mode is still surface-backed, just
+stepped per minute — and :func:`decline_reason` names why, so an enabled
+hub can count ``fastday.declined.<reason>``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from repro.core.engine import SeriesRecorder, StepContext
 from repro.power.psu import PowerSource
 
-__all__ = ["run_fast", "supports"]
+__all__ = ["decline_reason", "run_fast", "supports"]
 
 
 def supports(engine) -> str | None:
@@ -60,6 +61,26 @@ def supports(engine) -> str | None:
         return "fixed"
     if type(policy) is BatteryPolicy and type(engine.recorder) is BatteryRecorder:
         return "battery"
+    return None
+
+
+def decline_reason(engine, tel) -> str | None:
+    """Why a table-mode day keeps the scalar loop, or None if it can batch.
+
+    ``surfaces`` (the device has no interpolation surface), ``faults``,
+    ``policy`` (:func:`supports` rejects the policy/recorder pair), or
+    ``telemetry`` (event telemetry needs per-step hooks).  Telemetry is
+    checked last, so the reason names the decline that would remain with
+    telemetry off.
+    """
+    if engine.surfaces is None:
+        return "surfaces"
+    if engine.faults is not None:
+        return "faults"
+    if supports(engine) is None:
+        return "policy"
+    if tel.enabled:
+        return "telemetry"
     return None
 
 
@@ -282,13 +303,7 @@ def run_fast(engine, tel) -> bool:
     mode = supports(engine)
     if mode is None:
         return False
-    prof = tel.profile
-    profiling = prof.enabled
-    t0 = prof.clock() if profiling else 0.0
     arrays = _DayArrays(engine)
-    if profiling:
-        prof.add("fastday.precompute", prof.clock() - t0)
-        t0 = prof.clock()
     if mode == "battery":
         # The harvest loop integrates MPP power and records nothing; the
         # spend phase runs in BatteryPolicy.finalize via recorder.build.
@@ -297,7 +312,4 @@ def run_fast(engine, tel) -> bool:
         )
     else:
         _run_stepped(engine, tel, arrays, mode)
-    if profiling:
-        prof.add("fastday.steps", prof.clock() - t0)
-        prof.count("fastday.days")
     return True

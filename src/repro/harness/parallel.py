@@ -18,8 +18,10 @@ result to disk, keyed by the complete simulation identity:
   (location, month) cell so each worker amortizes its per-cell state.
   Workers run under the null telemetry hub (no sinks of the parent leak
   into children); when the parent's hub is enabled each worker instead
-  collects into a private hub and ships the counter/span snapshot back for
-  the parent's post-run summary.
+  collects into a private hub and ships its snapshot (counters,
+  histogram buckets, timers) back for the parent's post-run summary.
+  Results reach the caller's ``store`` hook in the parent as each chunk
+  completes, so a crash mid-sweep loses only the chunks still running.
 
 Determinism is a hard requirement: identical seeds yield byte-identical
 :class:`~repro.core.simulation.DayResult` arrays whether computed serially,
@@ -56,7 +58,6 @@ from repro.environment.locations import Location, location_by_code
 from repro.faults.schedule import FaultSchedule
 from repro.telemetry import hub as telemetry_hub
 from repro.telemetry.hub import Telemetry
-from repro.telemetry.profiling import PhaseProfiler
 
 __all__ = [
     "SweepTask",
@@ -256,8 +257,7 @@ class SweepFailureReport:
     Attributes:
         failures: Tasks that stayed failed after every retry, in the
             submitted task order.
-        completed: Tasks that produced a result (including checkpoint
-            restores).
+        completed: Tasks that produced a result.
         attempted: Unique tasks the sweep was asked to run.
     """
 
@@ -682,9 +682,9 @@ def _worker_chunk(
     not receive events from forked children); with ``collect_telemetry``
     each task runs under its own private hub and the snapshots of the
     tasks that *succeeded* are folded into one chunk snapshot that rides
-    back with the results.  ``collect_profile`` additionally arms a
-    private :class:`~repro.telemetry.profiling.PhaseProfiler` whose
-    per-phase / per-day profile rides home inside the same snapshot.
+    back with the results.  ``collect_profile`` additionally arms the
+    private hubs' profile, so per-phase timers and per-day profiles ride
+    home inside the same snapshot.
 
     Per-task hubs (not one hub per chunk) are what make retry metrics
     exact: a task that fails after partial work ships *nothing* — its
@@ -698,19 +698,13 @@ def _worker_chunk(
     """
     telemetry_hub.set_telemetry(None)
     collect = collect_telemetry or collect_profile
-    chunk_hub = (
-        Telemetry(profiler=PhaseProfiler() if collect_profile else None)
-        if collect
-        else None
-    )
+    chunk_hub = Telemetry(profile=collect_profile) if collect else None
     try:
         outcomes = []
         for task in tasks:
             task_hub = None
             if collect:
-                task_hub = Telemetry(
-                    profiler=PhaseProfiler() if collect_profile else None
-                )
+                task_hub = Telemetry(profile=collect_profile)
                 telemetry_hub.set_telemetry(task_hub)
             try:
                 result = compute_task(task, config)
@@ -729,30 +723,6 @@ def _worker_chunk(
         telemetry_hub.set_telemetry(None)
 
 
-def _split_completed(
-    unique: list[SweepTask], checkpoint, tel
-) -> tuple[dict[SweepTask, object], list[SweepTask]]:
-    """Partition tasks into checkpoint-restored results and pending work."""
-    results: dict[SweepTask, object] = {}
-    pending: list[SweepTask] = []
-    if checkpoint is None:
-        return results, list(unique)
-    for task in unique:
-        prior = checkpoint.get(task)
-        if prior is not None:
-            results[task] = prior
-        else:
-            pending.append(task)
-    if results:
-        if tel.enabled:
-            tel.count("sweep.checkpoint_skips", len(results))
-        log.info(
-            "checkpoint: %d of %d task(s) already complete; computing %d",
-            len(results), len(unique), len(pending),
-        )
-    return results, pending
-
-
 def _backoff_sleep(wave: int, retry_base_s: float, n_failed: int, tel) -> None:
     """Exponential backoff with deterministic jitter before retry ``wave``."""
     delay = retry_base_s * (2 ** (wave - 1))
@@ -768,13 +738,10 @@ def _backoff_sleep(wave: int, retry_base_s: float, n_failed: int, tel) -> None:
 
 
 def _finish_sweep(
-    results, snapshots, unique, pending, errors, attempts,
-    checkpoint, salvage, tel, parallel,
+    results, snapshots, unique, pending, errors, attempts, salvage, tel, parallel,
 ):
-    """Common tail of :func:`run_parallel` / :func:`run_serial`: flush the
-    checkpoint, then salvage (structured report) or raise (first failure)."""
-    if checkpoint is not None:
-        checkpoint.flush()
+    """Common tail of :func:`run_parallel` / :func:`run_serial`: salvage
+    (structured report) or raise (first failure)."""
     failures = [
         TaskFailure(
             task=task,
@@ -809,7 +776,9 @@ def _finish_sweep(
     return results
 
 
-def _run_wave(chunks, config, collect_telemetry, collect_profile, workers, task_timeout):
+def _run_wave(
+    chunks, config, collect_telemetry, collect_profile, workers, task_timeout, store,
+):
     """Run one wave of chunks on a fresh pool; never raises per-task.
 
     A fresh :class:`ProcessPoolExecutor` per wave is deliberate: a worker
@@ -817,7 +786,9 @@ def _run_wave(chunks, config, collect_telemetry, collect_profile, workers, task_
     retry waves must not inherit it.  With ``task_timeout`` each chunk
     gets a ``task_timeout * len(chunk)`` deadline; an expired chunk is
     marked timed out and its worker abandoned (the pool is shut down
-    without waiting — a hung simulation cannot hang the sweep).
+    without waiting — a hung simulation cannot hang the sweep).  Each
+    successful result goes to ``store`` as soon as its chunk is
+    collected, not when the wave ends.
     """
     outcomes: list[tuple[SweepTask, tuple[str, object, bool]]] = []
     snapshots: list[dict] = []
@@ -859,6 +830,8 @@ def _run_wave(chunks, config, collect_telemetry, collect_profile, workers, task_
                     continue
                 for task, (status, payload) in zip(chunk, chunk_outcomes):
                     outcomes.append((task, (status, payload, False)))
+                    if status == "ok" and store is not None:
+                        store(task, payload)
                 if snapshot is not None:
                     snapshots.append(snapshot)
             if not done and deadlines:
@@ -892,7 +865,7 @@ def run_parallel(
     retry_base_s: float = 0.1,
     task_timeout: float | None = None,
     salvage: bool = False,
-    checkpoint=None,
+    store=None,
 ):
     """Fan ``tasks`` out over a process pool, chunked by (location, month).
 
@@ -908,10 +881,11 @@ def run_parallel(
         tasks: Grid cells to simulate (duplicates are computed once).
         config: Simulation configuration shared by every task.
         jobs: Worker processes (capped at the number of chunks).
-        collect_telemetry: Ship per-worker counter/span snapshots back.
-        collect_profile: Arm a per-worker hot-path profiler; its phase /
-            day profile rides back inside the telemetry snapshot (the
-            parent merges it via ``Telemetry.merge_snapshot``).
+        collect_telemetry: Ship per-worker telemetry snapshots back.
+        collect_profile: Arm the per-worker hot-path profile; its phase
+            timers and day profiles ride back inside the telemetry
+            snapshot (the parent merges it via
+            ``Telemetry.merge_snapshot``).
         retries: Retry waves for failed tasks (0 = at most one attempt).
         retry_base_s: Backoff base: wave ``n`` sleeps
             ``retry_base_s * 2**(n-1)`` plus deterministic jitter.
@@ -919,9 +893,10 @@ def run_parallel(
             is ``task_timeout * len(chunk)``.  None = no deadline.
         salvage: Return partial results plus a failure report instead of
             raising on the first permanently failed task.
-        checkpoint: Optional
-            :class:`~repro.harness.checkpoint.SweepCheckpoint`; loaded
-            entries are skipped, new results are recorded as they land.
+        store: Optional ``store(task, result)`` hook, called in this
+            process for every successful result as its chunk completes
+            (the runner persists results through it, so a crash loses
+            only the chunks still running).
 
     Returns:
         ``(results, snapshots)`` — or ``(results, snapshots, report)``
@@ -933,7 +908,8 @@ def run_parallel(
     """
     tel = telemetry_hub.current()
     unique = list(dict.fromkeys(tasks))
-    results, pending = _split_completed(unique, checkpoint, tel)
+    results: dict[SweepTask, object] = {}
+    pending = unique
     snapshots: list[dict] = []
     attempts = dict.fromkeys(pending, 0)
     errors: dict[SweepTask, tuple[str, bool]] = {}
@@ -954,7 +930,7 @@ def run_parallel(
         workers = max(1, min(jobs, len(chunks)))
         wave_outcomes, wave_snapshots = _run_wave(
             chunks, config, collect_telemetry, collect_profile, workers,
-            task_timeout,
+            task_timeout, store,
         )
         snapshots.extend(wave_snapshots)
         failed_now: list[SweepTask] = []
@@ -963,15 +939,13 @@ def run_parallel(
             if status == "ok":
                 results[task] = payload
                 errors.pop(task, None)
-                if checkpoint is not None:
-                    checkpoint.record(task, payload)
             else:
                 errors[task] = (payload, timed_out)
                 failed_now.append(task)
         pending = failed_now
     return _finish_sweep(
         results, snapshots, unique, pending, errors, attempts,
-        checkpoint, salvage, tel, parallel=True,
+        salvage, tel, parallel=True,
     )
 
 
@@ -982,14 +956,14 @@ def run_serial(
     retries: int = 0,
     retry_base_s: float = 0.1,
     salvage: bool = False,
-    checkpoint=None,
+    store=None,
 ):
     """In-process sibling of :func:`run_parallel` (the ``jobs=1`` path).
 
-    Same retry / salvage / checkpoint semantics, same
-    :func:`compute_task` execution path, no worker pool.  Per-task
-    timeouts need process isolation and therefore only exist in the
-    parallel engine.
+    Same retry / salvage semantics, same :func:`compute_task` execution
+    path, no worker pool; ``store`` sees each result as its task
+    finishes.  Per-task timeouts need process isolation and therefore
+    only exist in the parallel engine.
 
     Returns:
         ``results`` — or ``(results, report)`` when ``salvage`` is set.
@@ -999,7 +973,8 @@ def run_serial(
     """
     tel = telemetry_hub.current()
     unique = list(dict.fromkeys(tasks))
-    results, pending = _split_completed(unique, checkpoint, tel)
+    results: dict[SweepTask, object] = {}
+    pending = unique
     attempts = dict.fromkeys(pending, 0)
     errors: dict[SweepTask, tuple[str, bool]] = {}
     for wave in range(retries + 1):
@@ -1018,12 +993,12 @@ def run_serial(
                 continue
             results[task] = result
             errors.pop(task, None)
-            if checkpoint is not None:
-                checkpoint.record(task, result)
+            if store is not None:
+                store(task, result)
         pending = failed_now
     return _finish_sweep(
         results, [], unique, pending, errors, attempts,
-        checkpoint, salvage, tel, parallel=False,
+        salvage, tel, parallel=False,
     )
 
 

@@ -98,7 +98,7 @@ def render_fig18(
 
 
 def render_telemetry_summary(telemetry=None) -> str:
-    """Render the (current) telemetry hub's counters and span timings.
+    """Render the (current) telemetry hub's counters and timers.
 
     The reporting-side hook for observability: benchmark scripts that
     already import :mod:`repro.harness.reporting` can print where a

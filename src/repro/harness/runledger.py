@@ -9,8 +9,9 @@ into a runs directory:
   (:func:`~repro.harness.parallel.code_fingerprint`), seeds, and the
   canonical fault-schedule spec;
 * **execution** — cache tier counts (memory / disk / compute), retry-wave
-  and timeout stats, wall-clock, and the per-phase timing summary when
-  the hot-path profiler was armed;
+  and timeout stats, wall-clock, the timer table (``phases``: every
+  timed region, plus the per-step phases when the profile was armed),
+  and the solver work counters (``solver``);
 * **environment** — host platform, Python version, and CPU count (the
   committed 0.95x parallel-speedup record taught us runs without the
   core count attached are uninterpretable).
@@ -30,6 +31,7 @@ import time
 from pathlib import Path
 
 from repro.telemetry import hub as telemetry_hub
+from repro.telemetry.summary import WORK_COUNTER_PREFIXES
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -51,8 +53,6 @@ DEFAULT_RUNS_DIR = "runs"
 _CACHE_COUNTERS = (
     "runner.cache_hits",
     "runner.cache_misses",
-    "runner.disk_hits",
-    "runner.disk_misses",
     "runner.computes",
     "cache.disk_hits",
     "cache.disk_misses",
@@ -64,7 +64,6 @@ _SWEEP_COUNTERS = (
     "sweep.retries",
     "sweep.timeouts",
     "sweep.salvaged_failures",
-    "sweep.checkpoint_skips",
 )
 
 
@@ -101,7 +100,7 @@ def build_manifest(
         faults: Canonical fault-schedule spec, or None for fault-free.
         jobs: Worker processes requested.
         duration_s: End-to-end wall-clock of the run [s].
-        telemetry: Hub whose counters/profile summarize the execution
+        telemetry: Hub whose counters and timers summarize the execution
             (the process-wide hub when omitted; the null hub contributes
             empty sections).
         extra: Free-form scenario fields merged in under ``extra``.
@@ -131,12 +130,13 @@ def build_manifest(
         if name in counters
     }
     phases = {
-        name: {"count": data["count"], "total_s": data["total_s"]}
-        for name, data in snap.get("profile", {}).get("phases", {}).items()
+        name: {"count": data["count"], "total_s": data["total"]}
+        for name, data in snap.get("timers", {}).items()
     }
     solver = {
         name: value
-        for name, value in snap.get("profile", {}).get("counters", {}).items()
+        for name, value in counters.items()
+        if name.startswith(WORK_COUNTER_PREFIXES)
     }
 
     manifest = {

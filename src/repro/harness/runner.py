@@ -73,9 +73,6 @@ class SimulationRunner:
             :class:`~repro.harness.parallel.SweepFailureReport` (exposed
             as :attr:`last_failure_report`) instead of aborting on the
             first permanently failed task.
-        checkpoint: Optional
-            :class:`~repro.harness.checkpoint.SweepCheckpoint` recording
-            prefetch progress (call its ``load()`` first to resume).
         lease_stale_s: When set (and a disk cache is attached), single-task
             computes go through the cross-process lease protocol
             (:meth:`~repro.harness.parallel.DiskResultCache.load_or_compute`):
@@ -94,7 +91,6 @@ class SimulationRunner:
         retries: int = 0,
         task_timeout: float | None = None,
         salvage: bool = False,
-        checkpoint=None,
         lease_stale_s: float | None = None,
     ) -> None:
         if jobs < 1:
@@ -112,7 +108,6 @@ class SimulationRunner:
         self.retries = retries
         self.task_timeout = task_timeout
         self.salvage = salvage
-        self.checkpoint = checkpoint
         #: The failure report of the most recent salvaged prefetch (falsy
         #: when it completed fully; None before any salvaged prefetch).
         self.last_failure_report: SweepFailureReport | None = None
@@ -140,13 +135,11 @@ class SimulationRunner:
         return self._battery if task.kind == "battery" else self._days
 
     def _from_disk(self, task: SweepTask, key: tuple):
-        """Try the disk cache; freeze and memoize on a hit."""
+        """Try the disk cache (which counts ``cache.disk_hits``/``misses``);
+        freeze and memoize on a hit."""
         if self.disk is None:
             return None
         result = self.disk.load(key)
-        tel = telemetry_hub.current()
-        if tel.enabled:
-            tel.count("runner.disk_hits" if result is not None else "runner.disk_misses")
         if result is None:
             return None
         result = _freeze(result)
@@ -185,7 +178,18 @@ class SimulationRunner:
             return result
         if tel.enabled:
             tel.count("runner.computes")
-        result = _freeze(compute_task(task, self.config))
+        return self._keep(task, compute_task(task, self.config))
+
+    def _keep(self, task: SweepTask, result):
+        """Freeze ``result``, memoize it, and persist it to the disk cache.
+
+        The memory tier and the disk store receive the same frozen object.
+        Prefetches pass this (via their store hook) to the sweep engines,
+        which call it as each result arrives, so rerunning with the same
+        ``cache_dir`` resumes an interrupted sweep.
+        """
+        key = task.cache_key(self._cfg_key)
+        result = _freeze(result)
         self._store_of(task)[key] = result
         if self.disk is not None:
             self.disk.store(key, result)
@@ -292,10 +296,12 @@ class SimulationRunner:
         chunked by (location, month) and computed by
         :func:`~repro.harness.parallel.run_parallel` when ``jobs > 1``
         (:func:`~repro.harness.parallel.run_serial` otherwise), honoring
-        the runner's ``retries`` / ``task_timeout`` / ``salvage`` /
-        ``checkpoint`` settings.  Per-worker telemetry snapshots are
+        the runner's ``retries`` / ``task_timeout`` / ``salvage``
+        settings.  Every result is memoized and stored to the disk cache
+        as it arrives, so a crashed prefetch resumes by rerunning it with
+        the same ``cache_dir``.  Per-worker telemetry snapshots are
         merged into the parent hub, so the post-run summary covers
-        worker-side simulation counters and span totals.
+        worker-side simulation counters, histograms and timers.
 
         Returns:
             Every requested task's result (frozen, shared with later
@@ -318,40 +324,32 @@ class SimulationRunner:
             tel = telemetry_hub.current()
             if tel.enabled:
                 tel.count("runner.computes", len(missing))
+
+            def store(task, result):
+                self._keep(task, result)
+                self._note(False)
+
             if self.jobs > 1:
                 outcome = run_parallel(
                     missing, self.config, self.jobs,
                     collect_telemetry=tel.enabled,
-                    collect_profile=tel.profile.enabled,
+                    collect_profile=tel.profiling,
                     retries=self.retries,
                     task_timeout=self.task_timeout,
                     salvage=self.salvage,
-                    checkpoint=self.checkpoint,
+                    store=store,
                 )
-                if self.salvage:
-                    results, snapshots, report = outcome
-                else:
-                    results, snapshots = outcome
-                for snapshot in snapshots:
+                for snapshot in outcome[1]:
                     tel.merge_snapshot(snapshot)
             else:
                 outcome = run_serial(
                     missing, self.config,
                     retries=self.retries,
                     salvage=self.salvage,
-                    checkpoint=self.checkpoint,
+                    store=store,
                 )
-                if self.salvage:
-                    results, report = outcome
-                else:
-                    results = outcome
-            for task, result in results.items():
-                key = task.cache_key(self._cfg_key)
-                result = _freeze(result)
-                self._store_of(task)[key] = result
-                if self.disk is not None:
-                    self.disk.store(key, result)
-                self._note(False)
+            if self.salvage:
+                report = outcome[-1]
         if self.salvage:
             self.last_failure_report = report or SweepFailureReport(
                 attempted=len(tasks), completed=len(tasks)

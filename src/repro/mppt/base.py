@@ -89,12 +89,9 @@ def run_tracker(
     from repro.pv.mpp import find_mpp
 
     tel = telemetry_hub.current()
-    prof = tel.profile
-    if prof.enabled:
-        prof_start = prof.clock()
     powers: list[float] = []
     mpp_powers: list[float] = []
-    with tel.span("mppt.run_tracker", tracker=tracker.name):
+    with tel.span("mppt.run_tracker"):
         for irradiance, temp in profile:
             mpp_power = find_mpp(device, irradiance, temp).power
             for _ in range(steps_per_condition):
@@ -109,9 +106,6 @@ def run_tracker(
                 mpp_powers.append(mpp_power)
         if tel.enabled:
             tel.count("mppt.steps", len(powers))
-    if prof.enabled:
-        prof.add("mppt.run_tracker", prof.clock() - prof_start)
-        prof.count("mppt.tracker_steps", float(len(powers)))
     run = TrackerRun(tracker.name, powers, mpp_powers)
     log.debug(
         "run_tracker %s: %d steps, tracking efficiency %.1f%%",

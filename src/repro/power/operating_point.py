@@ -109,10 +109,6 @@ def solve_operating_point(
         return OperatingPoint(voc, 0.0, converter.output_voltage(voc), 0.0)
 
     tel = telemetry_hub.current()
-    if tel.enabled:
-        tel.count("power.brentq_solves")
-    prof = tel.profile
-
     reflected = converter.reflected_resistance(load_resistance)
 
     def mismatch(v: float) -> float:
@@ -120,16 +116,17 @@ def solve_operating_point(
 
     # mismatch(0+) = Isc > 0, mismatch(Voc) = -Voc/reflected < 0.
     try:
-        if prof.enabled:
+        if tel.enabled:
             # full_output returns the identical root plus the iteration
-            # count; only the profiled path pays for the RootResults.
-            start = prof.clock()
+            # count; only an enabled hub pays for the RootResults.
+            start = tel.timers.clock()
             root, info = brentq(
                 mismatch, 1e-9, voc, xtol=1e-9, rtol=1e-12, full_output=True
             )
-            prof.add("power.operating_point", prof.clock() - start)
-            prof.count("power.brentq_calls")
-            prof.count("power.brentq_iterations", float(info.iterations))
+            if tel.profiling:
+                tel.timers.add("power.operating_point", tel.timers.clock() - start)
+            tel.count("power.brentq_calls")
+            tel.count("power.brentq_iterations", info.iterations)
             v_pv = float(root)
         else:
             v_pv = float(brentq(mismatch, 1e-9, voc, xtol=1e-9, rtol=1e-12))

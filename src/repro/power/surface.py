@@ -257,7 +257,7 @@ class OperatingSurfaces:
     :meth:`right_branch_voltage`, and the vectorized :meth:`mpp_arrays`.
     Every query that cannot be answered from the tables is delegated to
     the exact solvers on ``self.device`` and counted in
-    :attr:`fallbacks` (plus the ``surface.fallbacks`` profiler counter),
+    :attr:`fallbacks` (plus the ``surface.fallbacks`` telemetry counter),
     so fast mode degrades to slow-but-right, never to wrong.
     """
 
@@ -615,9 +615,9 @@ class OperatingSurfaces:
 
     def _note_fallback(self) -> None:
         self.fallbacks += 1
-        prof = telemetry_hub.current().profile
-        if prof.enabled:
-            prof.count("surface.fallbacks")
+        tel = telemetry_hub.current()
+        if tel.enabled:
+            tel.count("surface.fallbacks")
 
     # ------------------------------------------------------------------
     # Queries

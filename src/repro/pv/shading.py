@@ -129,14 +129,14 @@ class ShadedSeriesString:
         # work is booked on the shared brentq counters, and bracketing
         # failures surface as OperatingPointError with full coordinates
         # instead of scipy's bare ValueError.
-        prof = telemetry_hub.current().profile
+        tel = telemetry_hub.current()
         try:
-            if prof.enabled:
+            if tel.enabled:
                 root, info = brentq(
                     mismatch, 0.0, i_max, xtol=1e-9, full_output=True
                 )
-                prof.count("power.brentq_calls")
-                prof.count("power.brentq_iterations", float(info.iterations))
+                tel.count("power.brentq_calls")
+                tel.count("power.brentq_iterations", info.iterations)
                 return float(root)
             return float(brentq(mismatch, 0.0, i_max, xtol=1e-9))
         except ValueError as exc:

@@ -63,7 +63,7 @@ def divide_budget(
             f"unknown division policy {policy!r}; known: {DIVISION_POLICIES}"
         )
     tel = telemetry_hub.current()
-    with tel.span("rack.divide_budget", policy=policy):
+    with tel.span("rack.divide_budget"):
         shares = _divide(chips, budget_w, minute, policy, allow_gating)
     if tel.enabled:
         tel.count("rack.divisions")

@@ -17,7 +17,7 @@ this possible; the service is strictly a concurrency shell:
 * **telemetry streams live**: the PR 1 event stream (bridged off the
   compute threads by
   :class:`~repro.telemetry.async_sink.AsyncBridgeSink`) plus periodic
-  metric/profiler snapshots fan out to WebSocket subscribers through
+  metric/timer snapshots fan out to WebSocket subscribers through
   bounded drop-oldest queues — a slow client loses old messages, never
   stalls the service;
 * **terminal states persist**: every finished/failed/cancelled job can
@@ -699,14 +699,11 @@ class SolarCoreService:
             "coalesce": self.coalescer.stats(),
             "stream": self.stream_hub.stats(),
         }
-        profile = snap.get("profile")
-        if profile:
-            message["profile"] = {
-                "phases": {
-                    name: {"count": data["count"], "total_s": data["total_s"]}
-                    for name, data in profile.get("phases", {}).items()
-                },
-                "counters": profile.get("counters", {}),
+        timers = snap.get("timers")
+        if timers:
+            message["timers"] = {
+                name: {"count": data["count"], "total_s": data["total"]}
+                for name, data in timers.items()
             }
         return message
 

@@ -7,8 +7,9 @@ Three coordinated facilities behind one hub (:class:`Telemetry`):
 * a **structured event stream** — typed records (tracking events, supply
   switches, load tuning, battery phases) fanned out to pluggable sinks
   (ring buffer, JSONL file, stdlib logging);
-* **span timing** — nested wall-clock measurement of the hot paths
-  (``with telemetry.span("run_day", mix=...)``).
+* **one timer table** — nested wall-clock regions of the hot paths
+  (``with telemetry.span("run_day"):``) and, with ``profile=True``, the
+  engine's per-step phases and per-day profiles, one timer per name.
 
 Disabled by default: the process-wide hub starts as :data:`NULL_TELEMETRY`
 and instrumented code guards every site with ``if tel.enabled:``, so the
@@ -49,14 +50,6 @@ from repro.telemetry.hub import (
 )
 from repro.telemetry.logconfig import configure_logging, parse_level
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.profiling import (
-    NULL_PROFILER,
-    DayProfile,
-    NullProfiler,
-    PhaseProfiler,
-    PhaseStat,
-    render_profile,
-)
 from repro.telemetry.async_sink import AsyncBridgeSink
 from repro.telemetry.sinks import (
     EventSink,
@@ -65,8 +58,8 @@ from repro.telemetry.sinks import (
     RingBufferSink,
     read_jsonl_events,
 )
-from repro.telemetry.spans import SpanAggregate, SpanRecord, SpanTracker
-from repro.telemetry.summary import format_duration, render_summary
+from repro.telemetry.summary import format_duration, render_profile, render_summary
+from repro.telemetry.timers import DayProfile, Timer, TimerTable
 
 __all__ = [
     # hub
@@ -103,20 +96,14 @@ __all__ = [
     "JsonlSink",
     "LoggingSink",
     "read_jsonl_events",
-    # spans
-    "SpanTracker",
-    "SpanRecord",
-    "SpanAggregate",
-    # profiling
-    "PhaseProfiler",
-    "PhaseStat",
+    # timers
+    "Timer",
+    "TimerTable",
     "DayProfile",
-    "NullProfiler",
-    "NULL_PROFILER",
-    "render_profile",
     # logging / summary
     "configure_logging",
     "parse_level",
     "render_summary",
+    "render_profile",
     "format_duration",
 ]

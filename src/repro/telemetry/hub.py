@@ -1,4 +1,4 @@
-"""The telemetry hub: one object tying registry, sinks, and spans together.
+"""The telemetry hub: one object tying registry, sinks, and timers together.
 
 Process-wide but injectable: instrumented code fetches the current hub via
 :func:`current` (or accepts one as a parameter) and guards every
@@ -15,14 +15,9 @@ from __future__ import annotations
 import contextlib
 
 from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.metrics import (
-    DEFAULT_DURATION_BUCKETS_S,
-    DEFAULT_ITERATION_BUCKETS,
-    MetricsRegistry,
-)
-from repro.telemetry.profiling import NULL_PROFILER, PhaseProfiler
+from repro.telemetry.metrics import DEFAULT_ITERATION_BUCKETS, MetricsRegistry
 from repro.telemetry.sinks import EventSink
-from repro.telemetry.spans import SpanTracker
+from repro.telemetry.timers import Region, TimerTable
 
 __all__ = [
     "Telemetry",
@@ -40,11 +35,11 @@ class Telemetry:
     Args:
         sinks: Event sinks receiving every emitted record.
         registry: Metrics registry (fresh one by default).
-        keep_span_records: Retain per-span records, not just aggregates.
-        profiler: Hot-path phase profiler; the shared disabled
-            :data:`~repro.telemetry.profiling.NULL_PROFILER` unless one
-            is supplied, so enabling telemetry alone never pays the
-            per-phase clock reads.
+        profile: Arm the hot-path profile: the engine books its per-step
+            ``step.*``/``day.*`` phases and every simulated day records a
+            :class:`~repro.telemetry.timers.DayProfile`.  Off by default,
+            so enabling telemetry alone never pays the per-phase clock
+            reads.
     """
 
     #: Hot paths check this single attribute before doing any work.
@@ -54,13 +49,14 @@ class Telemetry:
         self,
         sinks: list[EventSink] | None = None,
         registry: MetricsRegistry | None = None,
-        keep_span_records: bool = False,
-        profiler: PhaseProfiler | None = None,
+        profile: bool = False,
     ) -> None:
         self.sinks: list[EventSink] = list(sinks or [])
         self.registry = registry or MetricsRegistry()
-        self.spans = SpanTracker(keep_records=keep_span_records)
-        self.profile = profiler if profiler is not None else NULL_PROFILER
+        #: Every timed region and profile phase, one timer per name.
+        self.timers = TimerTable()
+        #: Profiled hot paths check this attribute before each phase.
+        self.profiling = profile
 
     # -- event stream ---------------------------------------------------
     def emit(self, event: TelemetryEvent) -> None:
@@ -90,14 +86,15 @@ class Telemetry:
         """Record ``value`` into the histogram ``name``."""
         self.registry.histogram(name, buckets).observe(value)
 
-    # -- spans ----------------------------------------------------------
-    def span(self, name: str, **attrs):
-        """A context manager timing the enclosed region.
+    # -- timers -------------------------------------------------------
+    def span(self, name: str, day: tuple | None = None) -> Region:
+        """A context manager timing the enclosed region under ``name``.
 
-        The duration also lands in the ``span.<name>`` histogram, so span
-        percentiles show up next to plain metrics.
+        Args:
+            day: ``(label, cell)`` marks the region as one simulated day;
+                on a profiling hub it records the day's profile.
         """
-        return _RecordingSpan(self, name, attrs)
+        return self.timers.region(name, day if self.profiling else None)
 
     # -- cross-process aggregation --------------------------------------
     def merge_snapshot(self, data: dict) -> None:
@@ -106,19 +103,11 @@ class Telemetry:
         The parallel sweep engine runs each worker under a private hub
         and ships the snapshot back; the parent merges so its post-run
         summary covers worker-side work.  Counters add, gauges are
-        last-write-wins, and span aggregates fold via
-        :meth:`SpanTracker.merge`.  Histogram snapshots carry only
-        summary statistics (no bucket counts), so they cannot be merged
-        faithfully and are skipped.
+        last-write-wins, and histograms and timers add their bucket
+        counts, so merged distributions equal single-process ones.
         """
-        for name, value in data.get("counters", {}).items():
-            self.count(name, value)
-        for name, value in data.get("gauges", {}).items():
-            self.gauge(name, value)
-        self.spans.merge(data.get("spans", {}))
-        profile = data.get("profile")
-        if profile and self.profile.enabled:
-            self.profile.merge(profile)
+        self.registry.merge(data)
+        self.timers.merge(data)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -127,35 +116,10 @@ class Telemetry:
             sink.close()
 
     def snapshot(self) -> dict:
-        """Metrics + span aggregates (+ profile when enabled) as one dict."""
+        """Metrics, timers and day profiles as one plain-data dict."""
         data = self.registry.snapshot()
-        data["spans"] = self.spans.snapshot()
-        if self.profile.enabled:
-            data["profile"] = self.profile.snapshot()
+        data.update(self.timers.snapshot())
         return data
-
-
-class _RecordingSpan:
-    """Couples a tracker span with the span-duration histogram."""
-
-    __slots__ = ("_telemetry", "_span")
-
-    def __init__(self, telemetry: Telemetry, name: str, attrs: dict) -> None:
-        self._telemetry = telemetry
-        self._span = telemetry.spans.span(name, **attrs)
-
-    def __enter__(self):
-        self._span.__enter__()
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        tracker = self._telemetry.spans
-        start = self._span._start
-        self._span.__exit__(exc_type, exc, tb)
-        duration = tracker.clock() - start
-        self._telemetry.registry.histogram(
-            f"span.{self._span.name}", DEFAULT_DURATION_BUCKETS_S
-        ).observe(duration)
 
 
 class _NullSpan:
@@ -167,9 +131,6 @@ class _NullSpan:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-    def add_child_time(self, seconds: float) -> None:
         return None
 
 
@@ -188,7 +149,7 @@ class NullTelemetry:
     enabled = False
 
     #: Profiling is off along with everything else on the null hub.
-    profile = NULL_PROFILER
+    profiling = False
 
     def emit(self, event: TelemetryEvent) -> None:
         return None
@@ -208,7 +169,7 @@ class NullTelemetry:
     def observe(self, name: str, value: float, buckets=()) -> None:
         return None
 
-    def span(self, name: str, **attrs) -> _NullSpan:
+    def span(self, name: str, day: tuple | None = None) -> _NullSpan:
         return _NULL_SPAN
 
     def merge_snapshot(self, data: dict) -> None:
@@ -218,7 +179,7 @@ class NullTelemetry:
         return None
 
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "spans": {}}
+        return {"counters": {}, "gauges": {}, "histograms": {}, "timers": {}}
 
 
 #: The process-wide disabled hub (shared; never mutated).

@@ -4,11 +4,15 @@ The registry is the numeric half of the telemetry hub (the event stream is
 the structured half): cheap monotonically increasing counters for things the
 paper counts (tracking events, ``brentq`` solves, DVFS transitions, runner
 cache hits), gauges for last-seen values, and histograms with fixed bucket
-boundaries for distributions (tracking iterations per event, span
+boundaries for distributions (tracking iterations per event, timer
 durations).  Percentiles are estimated from the bucket counts by linear
 interpolation inside the winning bucket — the standard fixed-bucket
 estimator used by Prometheus-style registries, chosen here so recording a
 sample is O(#buckets) worst case and allocates nothing.
+
+Snapshots carry the bucket counts, so histograms merge exactly across
+processes: a ``jobs=N`` sweep reports the same distribution, percentiles
+included, as the same sweep run serially.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ __all__ = [
     "DEFAULT_ITERATION_BUCKETS",
 ]
 
-#: Bucket upper bounds for span durations [seconds]: 100 us .. 100 s.
+#: Bucket upper bounds for timer durations [seconds]: 1 us .. 100 s.
 DEFAULT_DURATION_BUCKETS_S: tuple[float, ...] = (
-    1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0,
+    1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3,
+    1.0, 3.0, 10.0, 30.0, 100.0,
 )
 
 #: Bucket upper bounds for small integer counts (tracking iterations etc.).
@@ -149,17 +154,46 @@ class Histogram:
                 return lo + (hi - lo) * fraction
         return self.max
 
-    def snapshot(self) -> dict[str, float]:
-        """Summary statistics as a plain dict (for summaries and JSON)."""
-        if self.count == 0:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
+    def snapshot(self) -> dict:
+        """Summary statistics plus the bucket counts, as plain data.
+
+        The bounds and per-bucket counts make the snapshot exactly
+        mergeable (:meth:`merge`); the rest is for summaries and JSON.
+        """
+        empty = self.count == 0
         return {
             "count": self.count,
+            "total": self.total,
             "mean": self.mean,
+            "min": 0.0 if empty else self.min,
+            "max": 0.0 if empty else self.max,
             "p50": self.percentile(50.0),
             "p95": self.percentile(95.0),
-            "max": self.max,
+            "bounds": list(self.bounds),
+            "buckets": list(self.counts),
         }
+
+    def merge(self, data: dict) -> None:
+        """Fold another histogram's :meth:`snapshot` into this one.
+
+        Bucket counts add, so merged percentiles are exactly those of one
+        histogram that saw every sample.
+
+        Raises:
+            ValueError: The snapshot was taken with other bucket bounds.
+        """
+        if tuple(data["bounds"]) != self.bounds:
+            raise ValueError(
+                f"cannot merge histogram {self.name!r}: bucket bounds differ"
+            )
+        if not data["count"]:
+            return
+        for idx, bucket_count in enumerate(data["buckets"]):
+            self.counts[idx] += bucket_count
+        self.count += data["count"]
+        self.total += data["total"]
+        self.min = min(self.min, data["min"])
+        self.max = max(self.max, data["max"])
 
 
 @dataclass
@@ -196,6 +230,19 @@ class MetricsRegistry:
         if metric is None:
             metric = self.histograms[name] = Histogram(name, buckets)
         return metric
+
+    def merge(self, data: dict) -> None:
+        """Fold another registry's :meth:`snapshot` into this one.
+
+        Counters add, gauges are last-write-wins, and histograms merge
+        their bucket counts (:meth:`Histogram.merge`).
+        """
+        for name, value in data.get("counters", {}).items():
+            self.counter(name).inc(value)
+        for name, value in data.get("gauges", {}).items():
+            self.gauge(name).set(value)
+        for name, hist in data.get("histograms", {}).items():
+            self.histogram(name, tuple(hist["bounds"])).merge(hist)
 
     def snapshot(self) -> dict[str, dict]:
         """All metrics as one nested plain-data dict."""

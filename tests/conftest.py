@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.core.config import SolarCoreConfig
@@ -10,6 +12,26 @@ from repro.pv.array import PVArray
 from repro.pv.module import PVModule
 from repro.pv.params import bp3180n
 from repro.workloads.mixes import mix
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Undo any logging configuration a test installs on ``repro``.
+
+    ``configure_logging`` (and the CLI's ``--log-level``) attach a stream
+    handler and turn ``propagate`` off; left in place, every later
+    ``caplog`` test would stop seeing ``repro`` records.
+    """
+    logger = logging.getLogger("repro")
+    saved = (list(logger.handlers), logger.level, logger.propagate)
+    yield
+    handlers, level, propagate = saved
+    for handler in logger.handlers:
+        if handler not in handlers:
+            handler.close()
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+    logger.propagate = propagate
 
 
 @pytest.fixture

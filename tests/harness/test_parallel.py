@@ -317,8 +317,8 @@ class TestTelemetryFromWorkers:
             SimulationRunner(CFG, jobs=2).prefetch(tasks)
             snapshot = tel.snapshot()
         assert snapshot["counters"]["sim.days"] == len(tasks)
-        assert snapshot["spans"]["run_day"]["count"] == len(tasks)
-        assert snapshot["spans"]["run_day"]["total_s"] > 0.0
+        assert snapshot["timers"]["run_day"]["count"] == len(tasks)
+        assert snapshot["timers"]["run_day"]["total"] > 0.0
 
     def test_workers_stay_silent_when_parent_hub_disabled(self):
         tasks = [SweepTask("mppt", "L1", "AZ", 7)]

@@ -1,4 +1,4 @@
-"""Resilient sweep execution: retries, salvage, timeouts, checkpoint-resume.
+"""Resilient sweep execution: retries, salvage, timeouts, cache-dir resume.
 
 The worker pool uses the ``fork`` start method on Linux, so workers
 inherit an in-process monkeypatch of
@@ -9,8 +9,6 @@ file) and to inject deterministic failures, crashes, and hangs.
 
 from __future__ import annotations
 
-import dataclasses
-import logging
 import os
 import time
 
@@ -18,8 +16,8 @@ import pytest
 
 from repro.core.config import SolarCoreConfig
 from repro.harness import parallel as parallel_mod
-from repro.harness.checkpoint import SweepCheckpoint
 from repro.harness.parallel import (
+    DiskResultCache,
     SweepError,
     SweepFailureReport,
     SweepTask,
@@ -199,31 +197,28 @@ class TestTaskTimeout:
 
 
 class TestCheckpointResume:
-    """The --resume acceptance contract: completed cells are restored
-    from the checkpoint file and only the remainder is recomputed —
-    proven by counting cross-process compute_task invocations."""
+    """The resume contract: rerunning a sweep with the same ``cache_dir``
+    restores every completed cell from the disk cache and recomputes only
+    the remainder — proven by counting cross-process compute_task
+    invocations."""
 
     def test_resume_recomputes_only_missing_cells(self, monkeypatch, tmp_path):
         log_path = tmp_path / "calls.log"
         monkeypatch.setattr(
             parallel_mod, "compute_task", counting_compute(log_path)
         )
-        ck_path = tmp_path / "sweep.ckpt"
+        cache_dir = tmp_path / "cache"
 
-        first = SweepCheckpoint(ck_path, CFG, flush_every=1)
-        results, report = run_serial(
-            [GOOD_A, GOOD_B, BAD], CFG, salvage=True, checkpoint=first
-        )
+        first = SimulationRunner(CFG, cache_dir=cache_dir, salvage=True)
+        results = first.prefetch([GOOD_A, GOOD_B, BAD])
         assert set(results) == {GOOD_A, GOOD_B}
         assert len(invocations(log_path)) == 3  # two successes + one failure
 
-        # "Crash"; a new process resumes from the file.
-        resumed = SweepCheckpoint(ck_path, CFG, flush_every=1)
-        assert resumed.load() == 2
-        results, report = run_serial(
-            [GOOD_A, GOOD_B, BAD], CFG, salvage=True, checkpoint=resumed
-        )
+        # "Crash"; a new process reruns with the same cache dir.
+        resumed = SimulationRunner(CFG, cache_dir=cache_dir, salvage=True)
+        results = resumed.prefetch([GOOD_A, GOOD_B, BAD])
         assert set(results) == {GOOD_A, GOOD_B}
+        report = resumed.last_failure_report
         assert [f.task for f in report.failures] == [BAD]
         # Only the failed cell was recomputed.
         assert len(invocations(log_path)) == 4
@@ -234,91 +229,72 @@ class TestCheckpointResume:
         monkeypatch.setattr(
             parallel_mod, "compute_task", counting_compute(log_path)
         )
-        ck_path = tmp_path / "sweep.ckpt"
+        cache_dir = tmp_path / "cache"
 
-        first = SweepCheckpoint(ck_path, CFG, flush_every=1)
-        run_parallel([GOOD_A], CFG, jobs=2, checkpoint=first)
+        SimulationRunner(CFG, jobs=2, cache_dir=cache_dir).prefetch([GOOD_A])
         assert len(invocations(log_path)) == 1
 
-        resumed = SweepCheckpoint(ck_path, CFG, flush_every=1)
-        assert resumed.load() == 1
         with telemetry_session() as tel:
-            results, _ = run_parallel(
-                [GOOD_A, GOOD_B], CFG, jobs=2, checkpoint=resumed
-            )
+            resumed = SimulationRunner(CFG, jobs=2, cache_dir=cache_dir)
+            results = resumed.prefetch([GOOD_A, GOOD_B])
             snap = tel.snapshot()
         assert set(results) == {GOOD_A, GOOD_B}
         assert len(invocations(log_path)) == 2  # GOOD_A restored, not re-run
-        assert snap["counters"]["sweep.checkpoint_skips"] == 1
+        assert snap["counters"]["cache.disk_hits"] == 1
 
     def test_unloaded_checkpoint_recomputes_everything(self, monkeypatch, tmp_path):
-        """A fresh campaign over an existing file must overwrite, never
-        silently resume: load() is the explicit opt-in."""
+        """The cache dir is the checkpoint, and passing it is the explicit
+        opt-in: a run pointed at another (fresh) dir recomputes."""
         log_path = tmp_path / "calls.log"
         monkeypatch.setattr(
             parallel_mod, "compute_task", counting_compute(log_path)
         )
-        ck_path = tmp_path / "sweep.ckpt"
-        run_serial([GOOD_A], CFG, checkpoint=SweepCheckpoint(ck_path, CFG))
-
-        fresh = SweepCheckpoint(ck_path, CFG)  # no load()
-        run_serial([GOOD_A], CFG, checkpoint=fresh)
+        SimulationRunner(CFG, cache_dir=tmp_path / "a").prefetch([GOOD_A])
+        SimulationRunner(CFG, cache_dir=tmp_path / "b").prefetch([GOOD_A])
         assert len(invocations(log_path)) == 2
 
+    def test_failed_chunk_keeps_finished_chunks_on_disk(self, monkeypatch, tmp_path):
+        """Results are stored as each chunk arrives, not when the sweep
+        returns: a jobs=2 prefetch whose second chunk raises still leaves
+        the first chunk's cells on disk, and the rerun computes only the
+        failed chunk."""
+        log_path = tmp_path / "calls.log"
+        first_chunk = [GOOD_A, GOOD_B]  # both (AZ, 7): one chunk
+        second_chunk = [
+            SweepTask("mppt", "L1", "TN", 1),
+            SweepTask("mppt", "H1", "TN", 1),
+        ]
 
-class TestSweepCheckpointFile:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        ck = SweepCheckpoint(path, CFG)
-        result = real_compute(GOOD_A, CFG)
-        ck.record(GOOD_A, result)
-        ck.flush()
+        def failing_second_chunk(task, config):
+            if task in second_chunk:
+                raise RuntimeError("worker fault")
+            return real_compute(task, config)
 
-        warm = SweepCheckpoint(path, CFG)
-        assert warm.load() == 1
-        assert warm.restored == 1
-        restored = warm.get(GOOD_A)
-        assert restored.retired_ginst_total == result.retired_ginst_total
-        assert warm.get(GOOD_B) is None
-
-    def test_flush_every_triggers_automatic_flush(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        ck = SweepCheckpoint(path, CFG, flush_every=1)
-        ck.record(GOOD_A, real_compute(GOOD_A, CFG))
-        assert path.exists()
-
-    def test_missing_file_is_clean_start(self, tmp_path):
-        assert SweepCheckpoint(tmp_path / "absent.ckpt", CFG).load() == 0
-
-    def test_corrupt_file_ignored_loudly(self, tmp_path, caplog):
-        path = tmp_path / "c.ckpt"
-        path.write_bytes(b"not a pickle")
-        ck = SweepCheckpoint(path, CFG)
-        with caplog.at_level(logging.WARNING, logger="repro.harness.checkpoint"):
-            assert ck.load() == 0
-        assert "unusable checkpoint" in caplog.text
-
-    def test_code_fingerprint_mismatch_ignored(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        old = SweepCheckpoint(path, CFG, fingerprint="code-v1")
-        old.record(GOOD_A, real_compute(GOOD_A, CFG))
-        old.flush()
-        new = SweepCheckpoint(path, CFG, fingerprint="code-v2")
-        assert new.load() == 0
-
-    def test_config_mismatch_ignored(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        ck = SweepCheckpoint(path, CFG)
-        ck.record(GOOD_A, real_compute(GOOD_A, CFG))
-        ck.flush()
-        other = SweepCheckpoint(
-            path, dataclasses.replace(CFG, step_minutes=5.0)
+        monkeypatch.setattr(
+            parallel_mod, "compute_task",
+            counting_compute(log_path, inner=failing_second_chunk),
         )
-        assert other.load() == 0
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SweepError, match="worker fault"):
+            SimulationRunner(CFG, jobs=2, cache_dir=cache_dir).prefetch(
+                first_chunk + second_chunk
+            )
+        assert len(invocations(log_path)) == 4
+        cfg_key = parallel_mod.config_key(CFG)
+        disk = DiskResultCache(cache_dir)
+        for task in first_chunk:
+            assert disk.load(task.cache_key(cfg_key)) is not None
+        for task in second_chunk:
+            assert disk.load(task.cache_key(cfg_key)) is None
 
-    def test_rejects_bad_flush_cadence(self, tmp_path):
-        with pytest.raises(ValueError, match="flush_every"):
-            SweepCheckpoint(tmp_path / "c.ckpt", CFG, flush_every=0)
+        monkeypatch.setattr(
+            parallel_mod, "compute_task", counting_compute(log_path)
+        )
+        rerun = SimulationRunner(CFG, jobs=2, cache_dir=cache_dir)
+        results = rerun.prefetch(first_chunk + second_chunk)
+        assert set(results) == set(first_chunk + second_chunk)
+        recomputed = invocations(log_path)[4:]
+        assert sorted(recomputed) == sorted(t.describe() for t in second_chunk)
 
 
 class TestRunnerIntegration:
@@ -336,8 +312,12 @@ class TestRunnerIntegration:
         assert not runner.last_failure_report
 
     def test_runner_threads_checkpoint_through_prefetch(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        ck = SweepCheckpoint(path, CFG, flush_every=1)
-        runner = SimulationRunner(CFG, checkpoint=ck)
-        runner.prefetch([GOOD_A])
-        assert SweepCheckpoint(path, CFG).load() == 1
+        """Prefetch persists each result through the runner's store hook."""
+        runner = SimulationRunner(CFG, cache_dir=tmp_path)
+        result = runner.prefetch([GOOD_A])[GOOD_A]
+        # The memory tier and the disk store got the same frozen object.
+        assert not result.mpp_w.flags.writeable
+        stored = DiskResultCache(tmp_path).load(
+            GOOD_A.cache_key(parallel_mod.config_key(CFG))
+        )
+        assert stored.retired_ginst_total == result.retired_ginst_total

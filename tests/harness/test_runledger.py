@@ -19,14 +19,14 @@ from repro.harness.runledger import (
     render_manifest,
     render_run_list,
 )
-from repro.telemetry import PhaseProfiler, Telemetry, telemetry_session
+from repro.telemetry import Telemetry, telemetry_session
 
 CFG = SolarCoreConfig(step_minutes=10.0)
 
 
 def simulated_manifest(**overrides):
     """A manifest built from a real profiled day, for realistic sections."""
-    hub = Telemetry(profiler=PhaseProfiler())
+    hub = Telemetry(profile=True)
     with telemetry_session(hub):
         run_day("HM2", PHOENIX_AZ, 7, config=CFG)
     kwargs = dict(

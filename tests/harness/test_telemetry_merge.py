@@ -20,8 +20,9 @@ import os
 
 from repro.core.config import SolarCoreConfig
 from repro.harness import parallel as parallel_mod
-from repro.harness.parallel import SweepTask, run_parallel
-from repro.telemetry import PhaseProfiler, Telemetry, telemetry_session
+from repro.harness.parallel import SweepTask, grid_tasks, run_parallel
+from repro.harness.runner import SimulationRunner
+from repro.telemetry import Telemetry, telemetry_session
 
 CFG = SolarCoreConfig(step_minutes=10.0)
 
@@ -72,8 +73,8 @@ def fail_first_attempt_after_work(log_path, target):
     return wrapper
 
 
-def merge_all(snapshots, profiled=False) -> dict:
-    hub = Telemetry(profiler=PhaseProfiler() if profiled else None)
+def merge_all(snapshots, profiled=False) -> Telemetry:
+    hub = Telemetry(profile=profiled)
     for snapshot in snapshots:
         hub.merge_snapshot(snapshot)
     return hub
@@ -112,9 +113,9 @@ class TestExactlyOnceCounters:
         merged = merge_all(snapshots)
         counters = merged.snapshot()["counters"]
         assert counters["sim.days"] == 2
-        # Spans fold the same way: one day span per retired task.
-        spans = merged.snapshot()["spans"]
-        assert spans["run_day"]["count"] == 2
+        # Timers fold the same way: one day timer per retired task.
+        timers = merged.snapshot()["timers"]
+        assert timers["run_day"]["count"] == 2
 
     def test_no_retries_no_failures_counts_every_task(self, monkeypatch, tmp_path):
         with telemetry_session():
@@ -140,12 +141,13 @@ class TestExactlyOnceProfiles:
         assert set(results) == {GOOD_A, GOOD_B}
         assert attempts(tmp_path / "log") == 2
         merged = merge_all(snapshots, profiled=True)
-        prof = merged.profile
+        table = merged.timers
         # Exactly one day profile per retired task, despite the extra
-        # (discarded) attempt, and solver counters match.
-        assert len(prof.days) == 2
-        assert prof.counters["power.brentq_calls"] == sum(
-            day.counters["power.brentq_calls"] for day in prof.days
+        # (discarded) attempt, and the timers match the day profiles.
+        assert len(table.days) == 2
+        assert table["run_day"].count == 2
+        assert table["controller.track"].count == sum(
+            day.phases["controller.track"][0] for day in table.days
         )
 
     def test_collect_profile_without_telemetry_flag(self):
@@ -155,4 +157,31 @@ class TestExactlyOnceProfiles:
                 [GOOD_A], CFG, jobs=1, collect_profile=True
             )
         merged = merge_all(snapshots, profiled=True)
-        assert len(merged.profile.days) == 1
+        assert len(merged.timers.days) == 1
+
+
+class TestSerialParallelParity:
+    """A ``jobs=4`` sweep reports the same telemetry as the serial one:
+    worker snapshots carry histogram and timer bucket counts, and the
+    parent folds them exactly."""
+
+    def test_serial_and_jobs4_summaries_match(self):
+        tasks = grid_tasks(("H1", "L1"), ("AZ", "TN"), (1, 7))
+        snaps = {}
+        for jobs in (1, 4):
+            with telemetry_session() as hub:
+                SimulationRunner(CFG, jobs=jobs).prefetch(tasks)
+                snaps[jobs] = hub.snapshot()
+        serial, parallel = snaps[1], snaps[4]
+        assert serial["counters"] == parallel["counters"]
+        hist = {
+            jobs: snap["histograms"]["controller.track_iterations"]
+            for jobs, snap in snaps.items()
+        }
+        assert hist[1]["count"] > 0
+        for key in ("count", "buckets", "p50", "p95", "min", "max"):
+            assert hist[1][key] == hist[4][key], key
+        assert {name: t["count"] for name, t in serial["timers"].items()} == {
+            name: t["count"] for name, t in parallel["timers"].items()
+        }
+        assert parallel["timers"]["run_day"]["count"] == len(tasks)

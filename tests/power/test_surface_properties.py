@@ -153,12 +153,12 @@ class TestFallbacks:
             surfaces.operating_point(converter, float("nan"), 800.0, 40.0)
 
     def test_fallbacks_book_profiler_counter(self, surfaces):
-        from repro.telemetry import PhaseProfiler, Telemetry, telemetry_session
+        from repro.telemetry import Telemetry, telemetry_session
 
-        hub = Telemetry(profiler=PhaseProfiler())
+        hub = Telemetry()
         with telemetry_session(hub):
             surfaces.mpp(2000.0, 25.0)
-        assert hub.profile.counters["surface.fallbacks"] == 1
+        assert hub.snapshot()["counters"]["surface.fallbacks"] == 1
 
     def test_right_branch_out_of_domain_returns_none(self, surfaces):
         exact = find_mpp(surfaces.device, 800.0, 40.0)

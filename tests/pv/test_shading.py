@@ -5,7 +5,7 @@ import pytest
 
 from repro.pv.mpp import find_mpp
 from repro.pv.shading import ShadedSeriesString, find_global_mpp
-from repro.telemetry import PhaseProfiler, Telemetry, telemetry_session
+from repro.telemetry import Telemetry, telemetry_session
 
 
 @pytest.fixture
@@ -107,20 +107,18 @@ class TestSolverAccounting:
     """The string's root-finds follow the shared solver contract.
 
     Regression: :meth:`ShadedSeriesString.current` used to call scipy's
-    ``brentq`` raw, bypassing both the ``power.brentq_*`` profiler
+    ``brentq`` raw, bypassing both the ``power.brentq_*`` telemetry
     counters and the :class:`OperatingPointError` wrapping every other
     solver in the repo honours.
     """
 
     def test_string_current_books_brentq_counters(self, shaded):
-        hub = Telemetry(profiler=PhaseProfiler())
+        hub = Telemetry()
         with telemetry_session(hub):
             shaded.current(30.0, 900.0, 40.0)
-        assert hub.profile.counters["power.brentq_calls"] >= 1
-        assert (
-            hub.profile.counters["power.brentq_iterations"]
-            >= hub.profile.counters["power.brentq_calls"]
-        )
+        counters = hub.snapshot()["counters"]
+        assert counters["power.brentq_calls"] >= 1
+        assert counters["power.brentq_iterations"] >= counters["power.brentq_calls"]
 
     def test_partial_shading_day_books_solver_calls(self):
         """A whole simulated day on a shaded string lands on the counters."""
@@ -128,15 +126,16 @@ class TestSolverAccounting:
         from repro.core.simulation import run_day
         from repro.environment.locations import location_by_code
 
-        hub = Telemetry(profiler=PhaseProfiler())
+        hub = Telemetry()
         with telemetry_session(hub):
             run_day(
                 "HM2", location_by_code("AZ"), 7,
                 config=SolarCoreConfig(step_minutes=10.0),
                 array=ShadedSeriesString((1.0, 0.4)),
             )
-        assert hub.profile.counters["power.brentq_calls"] > 0
-        assert hub.profile.counters["power.brentq_iterations"] > 0
+        counters = hub.snapshot()["counters"]
+        assert counters["power.brentq_calls"] > 0
+        assert counters["power.brentq_iterations"] > 0
 
     def test_unbracketable_solve_raises_operating_point_error(
         self, shaded, monkeypatch
@@ -152,7 +151,7 @@ class TestSolverAccounting:
 
     def test_profiling_off_leaves_result_unchanged(self, shaded):
         quiet = shaded.current(30.0, 900.0, 40.0)
-        hub = Telemetry(profiler=PhaseProfiler())
+        hub = Telemetry(profile=True)
         with telemetry_session(hub):
             profiled = shaded.current(30.0, 900.0, 40.0)
         assert profiled == quiet

@@ -116,7 +116,7 @@ def test_sigkill_mid_job_loses_no_acknowledged_work(tmp_path):
     # cell came from the cache rather than being recomputed.
     counters = stats["counters"]
     computes = counters.get("runner.computes", 0)
-    disk_hits = counters.get("runner.disk_hits", 0)
+    disk_hits = counters.get("cache.disk_hits", 0)
     assert disk_hits >= 1
     assert computes + disk_hits == WIDE_CELLS
     assert computes <= WIDE_CELLS - 1
@@ -190,7 +190,7 @@ def test_two_servers_one_cache_dir_compute_a_shared_key_once(tmp_path):
     assert total == 1
     reused = sum(
         s["counters"].get("runner.lease_follows", 0)
-        + s["counters"].get("runner.disk_hits", 0)
+        + s["counters"].get("cache.disk_hits", 0)
         for s in (stats_a, stats_b)
     )
     assert reused >= 1

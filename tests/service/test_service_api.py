@@ -169,3 +169,22 @@ def test_real_simulation_end_to_end():
             assert 0.0 < summary["energy_utilization"] <= 1.0
 
     run_async(main())
+
+
+def test_snapshot_says_which_day_path_ran():
+    # The service's hub is enabled, so a table-mode job keeps the
+    # per-minute loop; the snapshot message names why and carries the
+    # day's single timer.
+    from tests.service.conftest import ServiceHarness
+
+    async def main():
+        config = SolarCoreConfig(step_minutes=15.0)
+        async with ServiceHarness(config=config) as h:
+            doc = await h.client.submit(dict(SPEC, solver="table"), wait=True)
+            assert doc["state"] == DONE
+            message = h.service._snapshot_message()
+            assert message["counters"]["fastday.declined.telemetry"] == 1
+            assert message["timers"]["run_day"]["count"] == 1
+            assert message["timers"]["controller.track"]["count"] > 0
+
+    run_async(main())

@@ -36,20 +36,35 @@ class TestTelemetry:
         assert snap["histograms"]["iters"]["count"] == 1
 
     def test_span_feeds_histogram_and_aggregate(self):
+        # One timer per name carries the aggregate and the duration
+        # buckets; no separate span.* histogram exists.
         hub = Telemetry()
-        with hub.span("work", kind="test"):
+        with hub.span("work"):
             pass
         snap = hub.snapshot()
-        assert snap["spans"]["work"]["count"] == 1
-        assert snap["histograms"]["span.work"]["count"] == 1
+        assert snap["timers"]["work"]["count"] == 1
+        assert sum(snap["timers"]["work"]["buckets"]) == 1
+        assert snap["histograms"] == {}
 
     def test_span_nesting_through_hub(self):
         hub = Telemetry()
         with hub.span("outer"):
             with hub.span("inner"):
                 pass
-        assert hub.spans.aggregates["inner"].count == 1
-        assert hub.spans.depth == 0
+        assert hub.timers["inner"].count == 1
+        assert hub.timers.depth == 0
+
+    def test_merge_snapshot_merges_histogram_buckets(self):
+        worker = Telemetry()
+        for value in (1, 2, 2, 5, 9):
+            worker.observe("iters", value)
+        parent = Telemetry()
+        parent.observe("iters", 3)
+        parent.merge_snapshot(worker.snapshot())
+        serial = Telemetry()
+        for value in (3, 1, 2, 2, 5, 9):
+            serial.observe("iters", value)
+        assert parent.snapshot()["histograms"] == serial.snapshot()["histograms"]
 
     def test_enabled_flag(self):
         assert Telemetry().enabled is True
@@ -70,7 +85,7 @@ class TestNullTelemetry:
 
     def test_span_returns_shared_singleton(self):
         null = NullTelemetry()
-        span = null.span("anything", attr=1)
+        span = null.span("anything", day=("day", None))
         assert span is _NULL_SPAN
         assert null.span("other") is span  # no per-call allocation
         with span as inner:
@@ -87,7 +102,7 @@ class TestNullTelemetry:
             "counters": {},
             "gauges": {},
             "histograms": {},
-            "spans": {},
+            "timers": {},
         }
 
     def test_add_sink_raises(self):

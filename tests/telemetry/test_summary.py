@@ -27,11 +27,17 @@ class TestRenderSummary:
         assert "sim.tracking_events" in text
         assert "51" in text
         assert "controller.track_iterations" in text
-        assert "span timings" in text
+        assert "timers" in text
         assert "run_day" in text
-        # Span-duration histograms are folded into the span table, not
-        # repeated under distributions.
+        # Durations live in the one timer table, not repeated under
+        # distributions.
         assert "span.run_day" not in text
+
+    def test_profiling_hub_leaves_timers_to_profile_report(self):
+        hub = Telemetry(profile=True)
+        with hub.span("run_day"):
+            pass
+        assert "run_day" not in render_summary(hub)
 
     def test_empty_enabled_hub_renders_empty(self):
         assert render_summary(Telemetry()) == ""

@@ -104,7 +104,7 @@ class TestSlowCommands:
         out = capsys.readouterr().out
         assert "tracking_events" in out
         assert "telemetry counters" in out
-        assert "span timings" in out
+        assert "timers" in out
         assert str(trace_path) in out
 
         from repro.telemetry import current, NULL_TELEMETRY, read_jsonl_events
@@ -165,6 +165,21 @@ class TestProfile:
     def test_profile_flag_without_simulation_explains(self, capsys):
         assert main(["list", "--profile"]) == 0
         assert "no phases profiled" in capsys.readouterr().out
+
+    def test_each_region_is_timed_once(self, capsys):
+        # With both --telemetry and the profile armed, every timed region
+        # appears in exactly one table row: one measurement, one total.
+        assert main([
+            "profile", "--mix", "HM2", "--site", "AZ", "--month", "7",
+            "--solver", "table", "--telemetry",
+        ]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines()]
+        for name in ("controller.track", "run_day"):
+            matches = [row for row in rows if row and row[0] == name]
+            assert len(matches) == 1, (name, matches)
+        # The report says which day path ran and why.
+        assert "fastday.declined.telemetry" in out
 
     def test_hub_uninstalled_after_profile(self):
         from repro.telemetry import NULL_TELEMETRY, current
