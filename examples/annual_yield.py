@@ -11,7 +11,7 @@ the numbers behind a yearly total-cost / carbon projection.
 import sys
 
 from repro import location_by_code, run_day
-from repro.environment.annual import generate_month_trace
+from repro.environment.irradiance import generate_trace
 from repro.harness.reporting import format_table
 from repro.metrics import GRID_INTENSITY_KG_PER_KWH, carbon_report
 
@@ -27,9 +27,8 @@ def main() -> None:
     rows = []
     days = []
     for month in range(1, 13):
-        trace = generate_month_trace(location, month)
-        day = run_day("ML2", location, month if month in location.regimes else 7,
-                      "MPPT&Opt", trace=trace)
+        trace = generate_trace(location, month)
+        day = run_day("ML2", location, month, "MPPT&Opt", trace=trace)
         days.append(day)
         rows.append([
             MONTHS[month - 1],

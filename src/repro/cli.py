@@ -36,7 +36,8 @@ the ``repro`` source changes)::
     repro experiment fig18 --jobs 4 --cache-dir ~/.cache/solarcore
 
 Resilience flags (same commands): ``--retries N`` re-runs failed sweep
-tasks with exponential backoff and ``--task-timeout S`` bounds each task.
+tasks with exponential backoff and ``--task-timeout S`` bounds each task
+(with ``--jobs`` >= 2: only a worker process can be abandoned).
 Every finished cell is stored to the ``--cache-dir`` as it arrives, so a
 crashed campaign resumes by rerunning it with the same ``--cache-dir``.
 ``simulate``/``rack``/``campaign`` accept ``--faults SPEC`` to inject a
@@ -465,8 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(exponential backoff, fresh workers)")
     res.add_argument("--task-timeout", type=float, default=None,
                      metavar="SECONDS",
-                     help="per-task wall-clock budget for parallel sweeps; "
-                          "tasks over budget are failed and retried")
+                     help="per-task wall-clock budget for parallel sweeps "
+                          "(needs --jobs >= 2); tasks over budget are failed "
+                          "and retried")
 
     # Electrical solver choice for the simulating commands, e.g.
     #   repro campaign --sites AZ TN --solver table
@@ -588,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port; 0 picks an ephemeral port")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="shared persistent result cache for every job")
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes per runner for grid prefetches")
     serve.add_argument("--max-workers", type=int, default=4, metavar="N",
                        help="compute threads multiplexing jobs (default: 4)")
     serve.add_argument("--queue-size", type=int, default=256, metavar="N",
@@ -616,9 +616,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "interrupted (default: 10)")
     serve.add_argument("--lease-stale", type=float, default=30.0,
                        metavar="SECONDS",
-                       help="cross-process compute lease heartbeat timeout "
-                            "(with --cache-dir, N servers on one cache dir "
-                            "compute each key once; 0 disables leases)")
+                       help="cross-process compute lease heartbeat timeout, "
+                            "> 0 (with --cache-dir, N servers on one cache "
+                            "dir compute each key once; a lease whose owner "
+                            "process is gone from this host is taken over "
+                            "at once)")
 
     return parser
 
@@ -651,7 +653,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
-        sweep_jobs=args.jobs,
         max_workers=args.max_workers,
         client_queue_size=args.queue_size,
         snapshot_interval_s=args.snapshot_interval,
@@ -660,7 +661,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal_dir=args.journal_dir,
         recover=args.recover,
         drain_timeout_s=args.drain_timeout,
-        lease_stale_s=args.lease_stale or None,
+        lease_stale_s=args.lease_stale,
     )
 
     async def _serve() -> None:
@@ -739,7 +740,13 @@ def _record_run(args: argparse.Namespace, argv, hub, duration_s: float) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "task_timeout", None) is not None and args.jobs < 2:
+        parser.error("--task-timeout needs --jobs >= 2: only a worker "
+                     "process can be abandoned when a task hangs")
+    if args.command == "serve" and args.lease_stale <= 0:
+        parser.error("--lease-stale must be > 0")
 
     if args.log_level is not None:
         from repro.telemetry import configure_logging

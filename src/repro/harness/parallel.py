@@ -14,14 +14,16 @@ result to disk, keyed by the complete simulation identity:
   key, config key); writes are atomic (``os.replace`` of a same-directory
   temp file); corrupt or mismatched entries are deleted with a warning and
   recomputed — never returned.
-* :func:`run_parallel` — a ``ProcessPoolExecutor`` fan-out, chunked by
-  (location, month) cell so each worker amortizes its per-cell state.
-  Workers run under the null telemetry hub (no sinks of the parent leak
-  into children); when the parent's hub is enabled each worker instead
-  collects into a private hub and ships its snapshot (counters,
-  histogram buckets, timers) back for the parent's post-run summary.
-  Results reach the caller's ``store`` hook in the parent as each chunk
-  completes, so a crash mid-sweep loses only the chunks still running.
+* :func:`run_parallel` — the one sweep loop: retry waves, backoff,
+  timeouts and the caller's ``store`` hook, run in-process (``jobs=1``)
+  or as a ``ProcessPoolExecutor`` fan-out chunked by (location, month)
+  cell so each worker amortizes its per-cell state.  Workers run under
+  the null telemetry hub (no sinks of the parent leak into children);
+  when the parent's hub is enabled each worker instead collects into a
+  private hub and ships its snapshot (counters, histogram buckets,
+  timers) back, merged into the parent's hub as the chunk lands.
+  Results reach ``store`` in the parent as they land, so a crash
+  mid-sweep loses only the chunks still running.
 
 Determinism is a hard requirement: identical seeds yield byte-identical
 :class:`~repro.core.simulation.DayResult` arrays whether computed serially,
@@ -37,12 +39,13 @@ import logging
 import os
 import pickle
 import random
+import socket
 import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from contextlib import closing, contextmanager
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -62,13 +65,10 @@ from repro.telemetry.hub import Telemetry
 __all__ = [
     "SweepTask",
     "SweepError",
-    "TaskFailure",
-    "SweepFailureReport",
     "DiskResultCache",
     "CacheLease",
     "compute_task",
     "run_parallel",
-    "run_serial",
     "grid_tasks",
     "config_key",
     "code_fingerprint",
@@ -226,70 +226,33 @@ class SweepTask:
 
 
 class SweepError(RuntimeError):
-    """A sweep task failed; the message carries the failing coordinates."""
-
-
-@dataclass(frozen=True)
-class TaskFailure:
-    """One task that stayed failed after every retry wave.
+    """Sweep tasks failed every attempt; the message lists each one.
 
     Attributes:
-        task: The failing grid cell.
-        error: ``TypeName: message`` of the last failure (or a timeout
-            description).
-        attempts: How many times the task was tried.
-        timed_out: True when the last failure was a per-task timeout
-            rather than a raised exception.
+        failures: ``{task: (error, attempts, timed_out)}`` in submission
+            order — the last ``TypeName: message`` (or timeout
+            description), how many times the task was tried, and whether
+            the last failure was a per-task timeout.
     """
 
-    task: SweepTask
-    error: str
-    attempts: int
-    timed_out: bool = False
-
-
-@dataclass
-class SweepFailureReport:
-    """Structured account of a salvaged sweep (``salvage=True``).
-
-    Falsy when every task completed, so ``if report:`` reads naturally.
-
-    Attributes:
-        failures: Tasks that stayed failed after every retry, in the
-            submitted task order.
-        completed: Tasks that produced a result.
-        attempted: Unique tasks the sweep was asked to run.
-    """
-
-    failures: list[TaskFailure] = field(default_factory=list)
-    completed: int = 0
-    attempted: int = 0
-
-    def __bool__(self) -> bool:
-        return bool(self.failures)
-
-    def summary(self) -> str:
-        """Multi-line human-readable account for logs and CLI output."""
-        if not self.failures:
-            return f"sweep complete: all {self.attempted} task(s) succeeded"
-        lines = [
-            f"sweep salvaged: {len(self.failures)} of {self.attempted} "
-            f"task(s) failed ({self.completed} completed):"
-        ]
-        for failure in self.failures:
-            flavor = "timed out" if failure.timed_out else "failed"
+    def __init__(self, failures: dict[SweepTask, tuple[str, int, bool]]) -> None:
+        self.failures = failures
+        lines = [f"{len(failures)} sweep task(s) failed every attempt:"]
+        for task, (error, attempts, timed_out) in failures.items():
+            flavor = "timed out" if timed_out else "failed"
             lines.append(
-                f"  - {failure.task.describe()}: {flavor} after "
-                f"{failure.attempts} attempt(s): {failure.error}"
+                f"  - {task.describe()}: {flavor} after {attempts} "
+                f"attempt(s): {error}"
             )
-        return "\n".join(lines)
+        super().__init__("\n".join(lines))
 
 
 def compute_task(
     task: SweepTask, config: SolarCoreConfig
 ) -> DayResult | BatteryDayResult:
-    """Run one task — the single execution path shared by the serial
-    runner and every worker process, so both compute identical results.
+    """Run one task — the single execution path shared by in-process
+    sweeps, single runner misses and every worker process, so all of them
+    compute identical results.
 
     Every kind dispatches through the unified
     :class:`repro.core.engine.DayEngine` via the public ``run_day*``
@@ -321,9 +284,11 @@ class CacheLease:
 
     The file's *mtime is the heartbeat*: :meth:`refresh` touches it, and
     :meth:`DiskResultCache.try_lease` treats an mtime older than its
-    staleness bound as a dead owner.  The token written inside the file
-    is the identity check — every mutation verifies it first, so a lease
-    taken over by another process is never refreshed or released by the
+    staleness bound as a dead owner.  The file also names its owner (pid,
+    host, boot id), so a lease whose owner process is gone from this host
+    and boot is stale at once.  The token written inside the file is the
+    identity check — every mutation verifies it first, so a lease taken
+    over by another process is never refreshed or released by the
     original (now deposed) owner.
     """
 
@@ -379,6 +344,38 @@ class CacheLease:
         finally:
             stop.set()
             thread.join(timeout=5.0)
+
+
+@lru_cache(maxsize=1)
+def _host_identity() -> tuple[str, str]:
+    """(host name, boot id) of this machine; the boot id is empty where
+    ``/proc/sys/kernel/random/boot_id`` does not exist."""
+    try:
+        boot = Path("/proc/sys/kernel/random/boot_id").read_text().strip()
+    except OSError:
+        boot = ""
+    return socket.gethostname(), boot
+
+
+def _owner_gone(lease_path: Path) -> bool:
+    """Is the lease's owner a process of this host and boot that no
+    longer exists?  False whenever that cannot be told (another host or
+    boot, an unreadable file): such leases keep the mtime rule."""
+    try:
+        doc = json.loads(lease_path.read_bytes())
+    except (OSError, ValueError):
+        return False
+    host, boot = _host_identity()
+    pid = doc.get("pid")
+    if (doc.get("host"), doc.get("boot")) != (host, boot) or not isinstance(pid, int):
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        return False  # it exists (e.g. another user's process)
+    return False
 
 
 class DiskResultCache:
@@ -556,10 +553,12 @@ class DiskResultCache:
         1. ``O_EXCL``-create the lease file — atomic on POSIX, so exactly
            one of N racing processes wins a fresh election.
         2. If it exists but its mtime (the heartbeat) is older than
-           ``stale_after_s``, take it over: atomically ``os.replace`` a
-           claim file onto it, then *read back* the token.  Replace is
-           last-writer-wins, so the read-back is what decides the
-           election — every taker but one sees a foreign token and loses.
+           ``stale_after_s``, or its owner is a process of this host and
+           boot that no longer exists, take it over: atomically
+           ``os.replace`` a claim file onto it, then *read back* the
+           token.  Replace is last-writer-wins, so the read-back is what
+           decides the election — every taker but one sees a foreign
+           token and loses.
 
         Worst case under pathological timing (owner stalls longer than
         ``stale_after_s`` then resumes) is two processes computing the
@@ -569,9 +568,11 @@ class DiskResultCache:
         path = self.lease_path_for(key)
         self.root.mkdir(parents=True, exist_ok=True)
         token = f"{os.getpid()}-{random.getrandbits(64):016x}"
-        payload = json.dumps(
-            {"pid": os.getpid(), "token": token, "created": time.time()}
-        ).encode()
+        host, boot = _host_identity()
+        payload = json.dumps({
+            "pid": os.getpid(), "host": host, "boot": boot, "token": token,
+            "created": time.time(),
+        }).encode()
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
         except FileExistsError:
@@ -579,12 +580,13 @@ class DiskResultCache:
                 age = time.time() - path.stat().st_mtime
             except OSError:
                 return None  # vanished: owner just released; caller re-polls
-            if age <= stale_after_s:
+            if age > stale_after_s:
+                why = f"{age:.1f}s > {stale_after_s:.1f}s"
+            elif _owner_gone(path):
+                why = "its owner process is gone"
+            else:
                 return None
-            log.warning(
-                "cache lease %s is stale (%.1fs > %.1fs); taking over",
-                path.name, age, stale_after_s,
-            )
+            log.warning("cache lease %s is stale (%s); taking over", path.name, why)
             claim_fd, claim = tempfile.mkstemp(dir=self.root, suffix=".lease-claim")
             try:
                 with os.fdopen(claim_fd, "wb") as handle:
@@ -620,8 +622,9 @@ class DiskResultCache:
         Exactly one process per cache directory computes ``key`` at a
         time; everyone else waits on the lease and reads the stored
         result.  A leader that dies mid-compute (``kill -9``) stops
-        heartbeating, its lease goes stale after ``stale_after_s``, and a
-        follower is re-elected — no key can wedge forever.
+        heartbeating; its lease goes stale at once on the leader's own
+        host and boot, elsewhere after ``stale_after_s``, and a follower
+        is re-elected — no key can wedge forever.
 
         The caller is expected to have tried :meth:`load` already;
         internal polling loads use ``count=False`` so one logical lookup
@@ -650,7 +653,8 @@ class DiskResultCache:
                 if result is not None:
                     return result, False
                 age = self.lease_age_s(key)
-                if age is None or age > stale_after_s:
+                if (age is None or age > stale_after_s
+                        or _owner_gone(self.lease_path_for(key))):
                     break  # lease released or gone stale: re-elect
                 time.sleep(poll_s)
 
@@ -660,8 +664,13 @@ class DiskResultCache:
 
 
 # ----------------------------------------------------------------------
-# Process-pool fan-out
+# The sweep loop
 # ----------------------------------------------------------------------
+#: Backoff base [s]: retry wave ``n`` sleeps ``RETRY_BASE_S * 2**(n-1)``
+#: plus deterministic jitter of up to ``RETRY_BASE_S``.
+RETRY_BASE_S = 0.1
+
+
 def _chunk_by_cell(tasks: list[SweepTask]) -> list[list[SweepTask]]:
     """Group tasks by (location, month) cell, preserving order."""
     groups: dict[tuple[str, int], list[SweepTask]] = {}
@@ -670,135 +679,68 @@ def _chunk_by_cell(tasks: list[SweepTask]) -> list[list[SweepTask]]:
     return list(groups.values())
 
 
+def _attempt(task: SweepTask, config: SolarCoreConfig) -> tuple[object, str | None]:
+    """One try of ``task``: ``(result, None)`` or ``(None, "TypeName: message")``."""
+    try:
+        return compute_task(task, config), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _worker_chunk(
-    tasks: list[SweepTask],
-    config: SolarCoreConfig,
-    collect_telemetry: bool,
-    collect_profile: bool = False,
+    tasks: list[SweepTask], config: SolarCoreConfig, collect: bool, profile: bool,
 ) -> tuple[list, dict | None]:
     """Run one chunk inside a worker process.
 
     The worker always detaches from any inherited parent hub (sinks must
-    not receive events from forked children); with ``collect_telemetry``
-    each task runs under its own private hub and the snapshots of the
-    tasks that *succeeded* are folded into one chunk snapshot that rides
-    back with the results.  ``collect_profile`` additionally arms the
-    private hubs' profile, so per-phase timers and per-day profiles ride
-    home inside the same snapshot.
+    not receive events from forked children); with ``collect`` each task
+    runs under its own private hub (profiled when ``profile`` is set) and
+    the snapshots of the tasks that *succeeded* are folded into one chunk
+    snapshot that rides back with the outcomes.
 
     Per-task hubs (not one hub per chunk) are what make retry metrics
     exact: a task that fails after partial work ships *nothing* — its
     metrics would otherwise be merged once from the failed attempt and
     again from the retry that recomputes it.
-
-    Each task yields an independent ``("ok", result)`` or
-    ``("err", "TypeName: message")`` outcome: one bad cell no longer
-    poisons its whole chunk — the parent decides whether to retry,
-    salvage, or raise.
     """
     telemetry_hub.set_telemetry(None)
-    collect = collect_telemetry or collect_profile
-    chunk_hub = Telemetry(profile=collect_profile) if collect else None
+    chunk_hub = Telemetry(profile=profile) if collect else None
     try:
         outcomes = []
         for task in tasks:
-            task_hub = None
-            if collect:
-                task_hub = Telemetry(profile=collect_profile)
+            if chunk_hub is not None:
+                task_hub = Telemetry(profile=profile)
                 telemetry_hub.set_telemetry(task_hub)
             try:
-                result = compute_task(task, config)
-            except Exception as exc:
-                outcomes.append(("err", f"{type(exc).__name__}: {exc}"))
-            else:
-                outcomes.append(("ok", result))
-                if chunk_hub is not None:
-                    chunk_hub.merge_snapshot(task_hub.snapshot())
+                outcome = _attempt(task, config)
             finally:
-                if collect:
-                    telemetry_hub.set_telemetry(None)
-        snapshot = chunk_hub.snapshot() if chunk_hub is not None else None
-        return outcomes, snapshot
+                telemetry_hub.set_telemetry(None)
+            outcomes.append(outcome)
+            if chunk_hub is not None and outcome[1] is None:
+                chunk_hub.merge_snapshot(task_hub.snapshot())
+        return outcomes, chunk_hub.snapshot() if chunk_hub is not None else None
     finally:
         telemetry_hub.set_telemetry(None)
 
 
-def _backoff_sleep(wave: int, retry_base_s: float, n_failed: int, tel) -> None:
-    """Exponential backoff with deterministic jitter before retry ``wave``."""
-    delay = retry_base_s * (2 ** (wave - 1))
-    delay += random.Random(wave).uniform(0.0, retry_base_s)
-    if tel.enabled:
-        tel.count("sweep.retries", n_failed)
-    log.warning(
-        "sweep retry wave %d: %d task(s) failed, backing off %.2fs",
-        wave, n_failed, delay,
-    )
-    if delay > 0:
-        time.sleep(delay)
+def _pooled_wave(chunks, config, workers, task_timeout, tel):
+    """Run one wave of chunks on a fresh process pool; never raises per task.
 
-
-def _finish_sweep(
-    results, snapshots, unique, pending, errors, attempts, salvage, tel, parallel,
-):
-    """Common tail of :func:`run_parallel` / :func:`run_serial`: salvage
-    (structured report) or raise (first failure)."""
-    failures = [
-        TaskFailure(
-            task=task,
-            error=errors[task][0],
-            attempts=attempts[task],
-            timed_out=errors[task][1],
-        )
-        for task in pending
-    ]
-    timeouts = sum(1 for failure in failures if failure.timed_out)
-    if timeouts and tel.enabled:
-        tel.count("sweep.timeouts", timeouts)
-    if salvage:
-        report = SweepFailureReport(
-            failures=failures, completed=len(results), attempted=len(unique)
-        )
-        if failures:
-            if tel.enabled:
-                tel.count("sweep.salvaged_failures", len(failures))
-            log.warning(report.summary())
-        if parallel:
-            return results, snapshots, report
-        return results, report
-    if failures:
-        first = failures[0]
-        where = "in worker" if parallel else "serially"
-        raise SweepError(
-            f"sweep task failed {where}: {first.task.describe()}: {first.error}"
-        )
-    if parallel:
-        return results, snapshots
-    return results
-
-
-def _run_wave(
-    chunks, config, collect_telemetry, collect_profile, workers, task_timeout, store,
-):
-    """Run one wave of chunks on a fresh pool; never raises per-task.
-
-    A fresh :class:`ProcessPoolExecutor` per wave is deliberate: a worker
-    that dies (segfault, ``os._exit``) breaks its pool permanently, so
-    retry waves must not inherit it.  With ``task_timeout`` each chunk
-    gets a ``task_timeout * len(chunk)`` deadline; an expired chunk is
-    marked timed out and its worker abandoned (the pool is shut down
-    without waiting — a hung simulation cannot hang the sweep).  Each
-    successful result goes to ``store`` as soon as its chunk is
-    collected, not when the wave ends.
+    Yields ``(task, result, error, timed_out)`` for every task of a chunk
+    as soon as the chunk lands, after merging the chunk's telemetry
+    snapshot into ``tel``.  A fresh :class:`ProcessPoolExecutor` per
+    wave is deliberate: a worker that dies (segfault, ``os._exit``)
+    breaks its pool permanently, so retry waves must not inherit it.
+    With ``task_timeout`` each chunk gets a ``task_timeout * len(chunk)``
+    deadline; an expired chunk is marked timed out and its worker
+    abandoned (the pool is shut down without waiting — a hung simulation
+    cannot hang the sweep).
     """
-    outcomes: list[tuple[SweepTask, tuple[str, object, bool]]] = []
-    snapshots: list[dict] = []
     pool = ProcessPoolExecutor(max_workers=workers)
     abandoned = False
     try:
         futures = {
-            pool.submit(
-                _worker_chunk, chunk, config, collect_telemetry, collect_profile
-            ): chunk
+            pool.submit(_worker_chunk, chunk, config, tel.enabled, tel.profiling): chunk
             for chunk in chunks
         }
         deadlines: dict = {}
@@ -822,184 +764,144 @@ def _run_wave(
             for future in done:
                 chunk = futures[future]
                 try:
-                    chunk_outcomes, snapshot = future.result()
+                    outcomes, snapshot = future.result()
                 except Exception as exc:  # pool-level crash (BrokenProcessPool)
-                    message = f"{type(exc).__name__}: {exc}"
-                    for task in chunk:
-                        outcomes.append((task, ("err", message, False)))
-                    continue
-                for task, (status, payload) in zip(chunk, chunk_outcomes):
-                    outcomes.append((task, (status, payload, False)))
-                    if status == "ok" and store is not None:
-                        store(task, payload)
+                    outcomes = [(None, f"{type(exc).__name__}: {exc}")] * len(chunk)
+                    snapshot = None
                 if snapshot is not None:
-                    snapshots.append(snapshot)
+                    tel.merge_snapshot(snapshot)
+                for task, (result, error) in zip(chunk, outcomes):
+                    yield task, result, error, False
             if not done and deadlines:
                 now = time.monotonic()
-                expired = {f for f in not_done if now >= deadlines[f]}
+                expired = [f for f in not_done if now >= deadlines[f]]
+                not_done -= set(expired)
+                abandoned = abandoned or bool(expired)
                 for future in expired:
                     chunk = futures[future]
                     future.cancel()
-                    message = (
+                    error = (
                         f"timed out after {task_timeout * len(chunk):.1f}s "
                         f"({len(chunk)} task(s) x {task_timeout:.1f}s)"
                     )
                     for task in chunk:
-                        outcomes.append((task, ("err", message, True)))
-                if expired:
-                    abandoned = True
-                not_done -= expired
+                        yield task, None, error, True
     finally:
         pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
-    return outcomes, snapshots
+
+
+def _backoff_sleep(wave: int, n_failed: int, tel) -> None:
+    """Exponential backoff with deterministic jitter before retry ``wave``."""
+    delay = RETRY_BASE_S * (2 ** (wave - 1))
+    delay += random.Random(wave).uniform(0.0, RETRY_BASE_S)
+    if tel.enabled:
+        tel.count("sweep.retries", n_failed)
+    log.warning(
+        "sweep retry wave %d: %d task(s) failed, backing off %.2fs",
+        wave, n_failed, delay,
+    )
+    if delay > 0:
+        time.sleep(delay)
 
 
 def run_parallel(
     tasks: list[SweepTask],
     config: SolarCoreConfig,
     jobs: int,
-    collect_telemetry: bool = False,
-    collect_profile: bool = False,
     *,
     retries: int = 0,
-    retry_base_s: float = 0.1,
     task_timeout: float | None = None,
-    salvage: bool = False,
     store=None,
-):
-    """Fan ``tasks`` out over a process pool, chunked by (location, month).
+) -> dict[SweepTask, DayResult | BatteryDayResult]:
+    """Compute ``tasks``: in this process (``jobs=1``) or over a pool.
 
-    Resilience semantics: the first wave runs cell chunks; tasks that
-    fail (raise, crash their worker, or exceed the timeout) are retried
-    in up to ``retries`` further waves as single-task chunks on a fresh
-    pool, after exponential backoff.  Tasks still failed after the last
-    wave either abort the sweep (``salvage=False``, the historical
-    behavior) or are reported in a :class:`SweepFailureReport` alongside
-    every completed result (``salvage=True``).
+    The first wave runs (location, month) cell chunks; tasks that fail
+    (raise, crash their worker, or exceed the timeout) are retried in up
+    to ``retries`` further waves as single-task chunks, after
+    exponential backoff.  ``jobs > 1`` runs every wave on a fresh process
+    pool; ``jobs=1`` runs it in this process under the caller's hub.
+
+    Telemetry follows the current hub: pooled workers collect only when
+    it is enabled (profiled when it profiles), and each chunk's snapshot
+    is merged into it as the chunk lands.
 
     Args:
         tasks: Grid cells to simulate (duplicates are computed once).
         config: Simulation configuration shared by every task.
-        jobs: Worker processes (capped at the number of chunks).
-        collect_telemetry: Ship per-worker telemetry snapshots back.
-        collect_profile: Arm the per-worker hot-path profile; its phase
-            timers and day profiles ride back inside the telemetry
-            snapshot (the parent merges it via
-            ``Telemetry.merge_snapshot``).
+        jobs: Worker processes (capped at the number of chunks); 1 runs
+            in-process.
         retries: Retry waves for failed tasks (0 = at most one attempt).
-        retry_base_s: Backoff base: wave ``n`` sleeps
-            ``retry_base_s * 2**(n-1)`` plus deterministic jitter.
         task_timeout: Per-task wall-clock budget [s]; a chunk's deadline
-            is ``task_timeout * len(chunk)``.  None = no deadline.
-        salvage: Return partial results plus a failure report instead of
-            raising on the first permanently failed task.
+            is ``task_timeout * len(chunk)``.  Needs ``jobs >= 2``: only
+            a worker process can be abandoned when it hangs.
         store: Optional ``store(task, result)`` hook, called in this
-            process for every successful result as its chunk completes
-            (the runner persists results through it, so a crash loses
-            only the chunks still running).
+            process for every successful result as it lands (the runner
+            persists results through it, so a crash loses only the
+            chunks still running).
 
     Returns:
-        ``(results, snapshots)`` — or ``(results, snapshots, report)``
-        when ``salvage`` is set.
+        Every task's result.
 
     Raises:
-        SweepError: A task failed every attempt (only without salvage);
-            the message names its coordinates.
+        ValueError: ``jobs < 1``, or ``task_timeout`` with ``jobs == 1``.
+        SweepError: Some tasks failed every attempt; raised after every
+            other task reached ``store``, it lists each failed task.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if task_timeout is not None and jobs < 2:
+        raise ValueError(
+            "task_timeout needs jobs >= 2: only a worker process can be "
+            "abandoned when a task hangs"
+        )
     tel = telemetry_hub.current()
-    unique = list(dict.fromkeys(tasks))
+    pending = list(dict.fromkeys(tasks))
     results: dict[SweepTask, object] = {}
-    pending = unique
-    snapshots: list[dict] = []
     attempts = dict.fromkeys(pending, 0)
-    errors: dict[SweepTask, tuple[str, bool]] = {}
+    failures: dict[SweepTask, tuple[str, bool]] = {}
     for wave in range(retries + 1):
         if not pending:
             break
         if wave == 0:
             chunks = _chunk_by_cell(pending)
-            log.info(
-                "parallel sweep: %d task(s) in %d cell chunk(s) over %d worker(s)",
-                len(pending), len(chunks), max(1, min(jobs, len(chunks))),
-            )
         else:
-            _backoff_sleep(wave, retry_base_s, len(pending), tel)
+            _backoff_sleep(wave, len(pending), tel)
             # Retry singly: a failed cell must not re-drag healthy
             # neighbors through another attempt.
             chunks = [[task] for task in pending]
-        workers = max(1, min(jobs, len(chunks)))
-        wave_outcomes, wave_snapshots = _run_wave(
-            chunks, config, collect_telemetry, collect_profile, workers,
-            task_timeout, store,
+        workers = min(jobs, len(chunks))
+        log.info(
+            "sweep wave %d: %d task(s) in %d chunk(s) over %d worker(s)",
+            wave, len(pending), len(chunks), workers,
         )
-        snapshots.extend(wave_snapshots)
-        failed_now: list[SweepTask] = []
-        for task, (status, payload, timed_out) in wave_outcomes:
-            attempts[task] += 1
-            if status == "ok":
-                results[task] = payload
-                errors.pop(task, None)
-            else:
-                errors[task] = (payload, timed_out)
-                failed_now.append(task)
-        pending = failed_now
-    return _finish_sweep(
-        results, snapshots, unique, pending, errors, attempts,
-        salvage, tel, parallel=True,
-    )
-
-
-def run_serial(
-    tasks: list[SweepTask],
-    config: SolarCoreConfig,
-    *,
-    retries: int = 0,
-    retry_base_s: float = 0.1,
-    salvage: bool = False,
-    store=None,
-):
-    """In-process sibling of :func:`run_parallel` (the ``jobs=1`` path).
-
-    Same retry / salvage semantics, same :func:`compute_task` execution
-    path, no worker pool; ``store`` sees each result as its task
-    finishes.  Per-task timeouts need process isolation and therefore
-    only exist in the parallel engine.
-
-    Returns:
-        ``results`` — or ``(results, report)`` when ``salvage`` is set.
-
-    Raises:
-        SweepError: A task failed every attempt (only without salvage).
-    """
-    tel = telemetry_hub.current()
-    unique = list(dict.fromkeys(tasks))
-    results: dict[SweepTask, object] = {}
-    pending = unique
-    attempts = dict.fromkeys(pending, 0)
-    errors: dict[SweepTask, tuple[str, bool]] = {}
-    for wave in range(retries + 1):
-        if not pending:
-            break
-        if wave:
-            _backoff_sleep(wave, retry_base_s, len(pending), tel)
-        failed_now: list[SweepTask] = []
-        for task in pending:
-            attempts[task] += 1
-            try:
-                result = compute_task(task, config)
-            except Exception as exc:
-                errors[task] = (f"{type(exc).__name__}: {exc}", False)
-                failed_now.append(task)
-                continue
-            results[task] = result
-            errors.pop(task, None)
-            if store is not None:
-                store(task, result)
-        pending = failed_now
-    return _finish_sweep(
-        results, [], unique, pending, errors, attempts,
-        salvage, tel, parallel=False,
-    )
+        if jobs > 1:
+            outcomes = _pooled_wave(chunks, config, workers, task_timeout, tel)
+        else:  # in-process, under the caller's hub: its sinks see every event
+            outcomes = (
+                (task, *_attempt(task, config), False)
+                for chunk in chunks for task in chunk
+            )
+        # closing(): a raising store hook still shuts the wave's pool down.
+        with closing(outcomes):
+            for task, result, error, timed_out in outcomes:
+                attempts[task] += 1
+                if error is None:
+                    results[task] = result
+                    failures.pop(task, None)
+                    if store is not None:
+                        store(task, result)
+                else:
+                    failures[task] = (error, timed_out)
+        pending = [task for task in pending if task in failures]
+    if pending:
+        timeouts = sum(failures[task][1] for task in pending)
+        if timeouts and tel.enabled:
+            tel.count("sweep.timeouts", timeouts)
+        raise SweepError({
+            task: (failures[task][0], attempts[task], failures[task][1])
+            for task in pending
+        })
+    return results
 
 
 # ----------------------------------------------------------------------

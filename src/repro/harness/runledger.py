@@ -63,7 +63,6 @@ _CACHE_COUNTERS = (
 _SWEEP_COUNTERS = (
     "sweep.retries",
     "sweep.timeouts",
-    "sweep.salvaged_failures",
 )
 
 

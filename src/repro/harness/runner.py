@@ -7,9 +7,9 @@ once per process — and, when constructed with ``cache_dir=``, exactly once
 per *codebase*: results persist to a content-addressed disk cache
 (:class:`~repro.harness.parallel.DiskResultCache`) keyed by the full
 simulation identity plus a source fingerprint, so every later process
-reads them back instead of recomputing.  With ``jobs=N`` the runner fans
-grid prefetches out across worker processes
-(:func:`~repro.harness.parallel.run_parallel`).
+reads them back instead of recomputing.  Grid prefetches sweep through
+:func:`~repro.harness.parallel.run_parallel` (over ``jobs`` worker
+processes when ``jobs > 1``).
 
 Because memoized results are handed to *every* caller, their numpy arrays
 are frozen (``writeable = False``) before caching: a benchmark that
@@ -29,12 +29,10 @@ from repro.core.simulation import BatteryDayResult, DayResult
 from repro.environment.locations import Location, location_by_code
 from repro.harness.parallel import (
     DiskResultCache,
-    SweepFailureReport,
     SweepTask,
     compute_task,
     config_key as _config_key,
     run_parallel,
-    run_serial,
 )
 from repro.telemetry import hub as telemetry_hub
 
@@ -60,26 +58,27 @@ def _freeze(result):
 class SimulationRunner:
     """Runs and memoizes day simulations.
 
+    A missing result is computed in exactly one of two ways: a sweep
+    through :func:`~repro.harness.parallel.run_parallel`
+    (:meth:`prefetch`) or a single miss through :meth:`run_task`'s
+    memory -> disk -> compute path, which every :meth:`day` /
+    :meth:`fixed_day` / :meth:`battery_day` lookup takes too.
+
     Args:
         config: Simulation configuration shared by every run.
-        jobs: Worker processes used by :meth:`prefetch` (1 = serial).
+        jobs: Worker processes used by :meth:`prefetch` (1 = in-process).
         cache_dir: Directory for the persistent result cache, or None to
             keep results in memory only.
         retries: Retry waves for failed prefetch tasks (see
             :func:`~repro.harness.parallel.run_parallel`).
-        task_timeout: Per-task wall-clock budget [s] for parallel
-            prefetches (None = unbounded; ignored when ``jobs == 1``).
-        salvage: Prefetches return every completed cell plus a
-            :class:`~repro.harness.parallel.SweepFailureReport` (exposed
-            as :attr:`last_failure_report`) instead of aborting on the
-            first permanently failed task.
-        lease_stale_s: When set (and a disk cache is attached), single-task
-            computes go through the cross-process lease protocol
+        task_timeout: Per-task wall-clock budget [s] for prefetches
+            (None = unbounded); needs ``jobs >= 2``.
+        lease_stale_s: With a disk cache, every single miss goes through
+            the cross-process lease protocol
             (:meth:`~repro.harness.parallel.DiskResultCache.load_or_compute`):
             N processes sharing one cache directory produce exactly one
-            compute per key, and a leader dead longer than this many
-            seconds is replaced.  None (default) keeps the lease-free
-            single-process behavior.
+            compute per key, and a leader silent for this many seconds
+            (or, on this host, whose process is gone) is replaced.
     """
 
     def __init__(
@@ -90,14 +89,18 @@ class SimulationRunner:
         cache_dir=None,
         retries: int = 0,
         task_timeout: float | None = None,
-        salvage: bool = False,
-        lease_stale_s: float | None = None,
+        lease_stale_s: float = 30.0,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if lease_stale_s is not None and lease_stale_s <= 0:
+        if task_timeout is not None and jobs < 2:
+            raise ValueError(
+                "task_timeout needs jobs >= 2: only a worker process can be "
+                "abandoned when a task hangs"
+            )
+        if lease_stale_s <= 0:
             raise ValueError(f"lease_stale_s must be > 0, got {lease_stale_s}")
         self.config = config or SolarCoreConfig()
         self.jobs = jobs
@@ -107,13 +110,9 @@ class SimulationRunner:
         self.lease_follows = 0
         self.retries = retries
         self.task_timeout = task_timeout
-        self.salvage = salvage
-        #: The failure report of the most recent salvaged prefetch (falsy
-        #: when it completed fully; None before any salvaged prefetch).
-        self.last_failure_report: SweepFailureReport | None = None
         self._cfg_key = _config_key(self.config)
-        self._days: dict[tuple, DayResult] = {}
-        self._battery: dict[tuple, BatteryDayResult] = {}
+        #: Every result this runner holds, keyed by its cache key.
+        self._memo: dict[tuple, DayResult | BatteryDayResult] = {}
         self._hits = 0
         self._misses = 0
 
@@ -131,69 +130,19 @@ class SimulationRunner:
         if tel.enabled:
             tel.count("runner.cache_hits" if hit else "runner.cache_misses")
 
-    def _store_of(self, task: SweepTask) -> dict:
-        return self._battery if task.kind == "battery" else self._days
+    def _memoize(self, key: tuple, result):
+        """Freeze ``result`` and keep it in the memory tier."""
+        result = _freeze(result)
+        self._memo[key] = result
+        return result
 
-    def _from_disk(self, task: SweepTask, key: tuple):
+    def _from_disk(self, key: tuple):
         """Try the disk cache (which counts ``cache.disk_hits``/``misses``);
         freeze and memoize on a hit."""
         if self.disk is None:
             return None
         result = self.disk.load(key)
-        if result is None:
-            return None
-        result = _freeze(result)
-        self._store_of(task)[key] = result
-        return result
-
-    def _get(self, task: SweepTask):
-        """Memory cache -> disk cache -> compute, memoizing at each tier."""
-        key = task.cache_key(self._cfg_key)
-        cached = self._store_of(task).get(key)
-        self._note(cached is not None)
-        if cached is not None:
-            return cached
-        result = self._from_disk(task, key)
-        if result is not None:
-            return result
-        log.debug("cache miss: %s", task.describe())
-        tel = telemetry_hub.current()
-        if self.disk is not None and self.lease_stale_s is not None:
-            # Cross-process dedup: exactly one process on this cache dir
-            # computes the key; everyone else waits and reads the store.
-            result, computed = self.disk.load_or_compute(
-                key,
-                lambda: compute_task(task, self.config),
-                stale_after_s=self.lease_stale_s,
-            )
-            result = _freeze(result)
-            if computed:
-                if tel.enabled:
-                    tel.count("runner.computes")
-            else:
-                self.lease_follows += 1
-                if tel.enabled:
-                    tel.count("runner.lease_follows")
-            self._store_of(task)[key] = result
-            return result
-        if tel.enabled:
-            tel.count("runner.computes")
-        return self._keep(task, compute_task(task, self.config))
-
-    def _keep(self, task: SweepTask, result):
-        """Freeze ``result``, memoize it, and persist it to the disk cache.
-
-        The memory tier and the disk store receive the same frozen object.
-        Prefetches pass this (via their store hook) to the sweep engines,
-        which call it as each result arrives, so rerunning with the same
-        ``cache_dir`` resumes an interrupted sweep.
-        """
-        key = task.cache_key(self._cfg_key)
-        result = _freeze(result)
-        self._store_of(task)[key] = result
-        if self.disk is not None:
-            self.disk.store(key, result)
-        return result
+        return None if result is None else self._memoize(key, result)
 
     # ------------------------------------------------------------------
     # Cache identity and tier access (the service's coalescing surface)
@@ -208,32 +157,55 @@ class SimulationRunner:
         """
         return task.cache_key(self._cfg_key)
 
-    def peek(self, task: SweepTask):
-        """The cached result for ``task`` (memory, then disk) — or None.
+    def peek_memory(self, task: SweepTask):
+        """The memory tier's result for ``task``, or None.
 
-        Never computes.  The service uses this for cache-hit-first
-        serving: a hit is answered immediately, only a miss enters the
-        coalescer.  Hit/miss counters are booked like :meth:`day` lookups.
+        Never touches the disk or computes, so the service calls it on
+        its event loop to answer a hit without a thread hop.
         """
+        return self._memo.get(task.cache_key(self._cfg_key))
+
+    def run_task(self, task: SweepTask):
+        """Memory -> disk -> compute for one task, memoizing the result.
+
+        The single-miss path behind :meth:`day` / :meth:`fixed_day` /
+        :meth:`battery_day`, public for the service's compute threads.
+        With a disk cache the compute runs under a cross-process lease
+        and its result is stored before it returns.  Concurrent calls for
+        *distinct* keys are safe; serializing same-key calls is the
+        caller's job (the service's coalescer guarantees it, which keeps
+        the ``runner.computes`` telemetry counter an exact compute count).
+        """
+        return self._get(task)
+
+    def _get(self, task: SweepTask):
         key = task.cache_key(self._cfg_key)
-        cached = self._store_of(task).get(key)
+        cached = self._memo.get(key)
         self._note(cached is not None)
         if cached is not None:
             return cached
-        return self._from_disk(task, key)
+        result = self._from_disk(key)
+        if result is not None:
+            return result
+        log.debug("cache miss: %s", task.describe())
 
-    def run_task(self, task: SweepTask):
-        """Compute (or fetch) one task through the tiered cache.
+        def compute():
+            return _freeze(compute_task(task, self.config))
 
-        Public equivalent of the internal :meth:`_get` used by the
-        :meth:`day` / :meth:`fixed_day` / :meth:`battery_day` wrappers;
-        the service's executor bridge calls this from worker threads.
-        Concurrent calls for *distinct* keys are safe; serializing
-        same-key calls is the caller's job (the service's coalescer
-        guarantees it, which keeps the ``runner.computes`` telemetry
-        counter an exact compute count).
-        """
-        return self._get(task)
+        if self.disk is None:
+            result, computed = compute(), True
+        else:
+            # Cross-process dedup: exactly one process on this cache dir
+            # computes the key; everyone else waits and reads the store.
+            result, computed = self.disk.load_or_compute(
+                key, compute, stale_after_s=self.lease_stale_s
+            )
+        tel = telemetry_hub.current()
+        if not computed:
+            self.lease_follows += 1
+        if tel.enabled:
+            tel.count("runner.computes" if computed else "runner.lease_follows")
+        return self._memoize(key, result)
 
     # ------------------------------------------------------------------
     # Single-simulation entry points
@@ -287,78 +259,50 @@ class SimulationRunner:
         ))
 
     # ------------------------------------------------------------------
-    # Grid prefetch (the parallel path)
+    # Grid prefetch (the sweep path)
     # ------------------------------------------------------------------
     def prefetch(self, tasks) -> dict[SweepTask, DayResult | BatteryDayResult]:
-        """Materialize every task, fanning misses out over ``jobs`` workers.
+        """Materialize every task, sweeping the misses through
+        :func:`~repro.harness.parallel.run_parallel`.
 
         Memory- and disk-cached tasks are never re-run; the remainder is
-        chunked by (location, month) and computed by
-        :func:`~repro.harness.parallel.run_parallel` when ``jobs > 1``
-        (:func:`~repro.harness.parallel.run_serial` otherwise), honoring
-        the runner's ``retries`` / ``task_timeout`` / ``salvage``
-        settings.  Every result is memoized and stored to the disk cache
-        as it arrives, so a crashed prefetch resumes by rerunning it with
-        the same ``cache_dir``.  Per-worker telemetry snapshots are
-        merged into the parent hub, so the post-run summary covers
-        worker-side simulation counters, histograms and timers.
+        computed with the runner's ``jobs`` / ``retries`` /
+        ``task_timeout``.  Every result is memoized and stored to the
+        disk cache as it arrives, so a failed or crashed prefetch resumes
+        by rerunning it with the same ``cache_dir``.
 
         Returns:
             Every requested task's result (frozen, shared with later
             callers of :meth:`day` / :meth:`fixed_day` /
-            :meth:`battery_day`).  In salvage mode, permanently failed
-            tasks are simply absent and :attr:`last_failure_report`
-            holds the structured account.
+            :meth:`battery_day`).
+
+        Raises:
+            SweepError: Some tasks failed every attempt; every other
+                task is already memoized and stored.
         """
         tasks = list(dict.fromkeys(tasks))
-        missing = []
-        for task in tasks:
-            key = task.cache_key(self._cfg_key)
-            if key in self._store_of(task):
-                continue
-            if self._from_disk(task, key) is not None:
-                continue
-            missing.append(task)
-        report: SweepFailureReport | None = None
+        missing = [
+            task for task in tasks
+            if self.peek_memory(task) is None
+            and self._from_disk(task.cache_key(self._cfg_key)) is None
+        ]
         if missing:
             tel = telemetry_hub.current()
             if tel.enabled:
                 tel.count("runner.computes", len(missing))
 
             def store(task, result):
-                self._keep(task, result)
                 self._note(False)
+                key = task.cache_key(self._cfg_key)
+                result = self._memoize(key, result)
+                if self.disk is not None:
+                    self.disk.store(key, result)
 
-            if self.jobs > 1:
-                outcome = run_parallel(
-                    missing, self.config, self.jobs,
-                    collect_telemetry=tel.enabled,
-                    collect_profile=tel.profiling,
-                    retries=self.retries,
-                    task_timeout=self.task_timeout,
-                    salvage=self.salvage,
-                    store=store,
-                )
-                for snapshot in outcome[1]:
-                    tel.merge_snapshot(snapshot)
-            else:
-                outcome = run_serial(
-                    missing, self.config,
-                    retries=self.retries,
-                    salvage=self.salvage,
-                    store=store,
-                )
-            if self.salvage:
-                report = outcome[-1]
-        if self.salvage:
-            self.last_failure_report = report or SweepFailureReport(
-                attempted=len(tasks), completed=len(tasks)
+            run_parallel(
+                missing, self.config, self.jobs,
+                retries=self.retries, task_timeout=self.task_timeout,
+                store=store,
             )
-            completed = [
-                task for task in tasks
-                if task.cache_key(self._cfg_key) in self._store_of(task)
-            ]
-            return {task: self._get(task) for task in completed}
         return {task: self._get(task) for task in tasks}
 
     # ------------------------------------------------------------------
@@ -367,7 +311,7 @@ class SimulationRunner:
     @property
     def cached_runs(self) -> int:
         """Number of distinct simulations held in the cache."""
-        return len(self._days) + len(self._battery)
+        return len(self._memo)
 
     def stats(self) -> dict[str, float]:
         """Cache effectiveness counters.
@@ -375,7 +319,8 @@ class SimulationRunner:
         Returns:
             ``hits``, ``misses``, ``cached_runs``, and ``hit_rate`` (0.0
             when the runner has not been asked for anything yet), plus
-            ``disk_hits`` / ``disk_misses`` when a disk cache is attached.
+            ``disk_hits`` / ``disk_misses`` / ``lease_follows`` when a
+            disk cache is attached.
         """
         lookups = self._hits + self._misses
         stats = {
@@ -387,7 +332,6 @@ class SimulationRunner:
         if self.disk is not None:
             stats["disk_hits"] = self.disk.hits
             stats["disk_misses"] = self.disk.misses
-        if self.lease_stale_s is not None:
             stats["lease_follows"] = self.lease_follows
         return stats
 

@@ -53,6 +53,7 @@ import logging
 import math
 import os
 import tempfile
+import threading
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -876,6 +877,9 @@ class OperatingSurfaces:
 #: In-process registry: one surface set per (model, device, spec).
 _REGISTRY: dict[str, OperatingSurfaces] = {}
 
+#: Serializes registry misses, so concurrent first uses build once.
+_REGISTRY_LOCK = threading.Lock()
+
 
 def get_surfaces(
     device,
@@ -900,12 +904,19 @@ def get_surfaces(
     spec = spec or SurfaceSpec()
     key = surface_key(vd.describe(), spec)
     cached = _REGISTRY.get(key)
-    if cached is not None:
-        # Reuse the tables but serve fallbacks from the caller's device.
-        if cached.device is not device:
-            cached.device = device
-        return cached
+    if cached is None:
+        with _REGISTRY_LOCK:
+            cached = _REGISTRY.get(key)
+            if cached is None:
+                cached = _REGISTRY[key] = _load_or_build(device, spec, cache_dir)
+    # Reuse the tables but serve fallbacks from the caller's device.
+    if cached.device is not device:
+        cached.device = device
+    return cached
 
+
+def _load_or_build(device, spec: SurfaceSpec, cache_dir) -> OperatingSurfaces:
+    """A registry miss: load the surface set from disk, else build (and save) it."""
     directory = cache_dir if cache_dir is not None else os.environ.get(SURFACE_DIR_ENV)
     surfaces = None
     if directory:
@@ -914,5 +925,4 @@ def get_surfaces(
         surfaces = OperatingSurfaces.build(device, spec)
         if directory:
             surfaces.save(directory)
-    _REGISTRY[key] = surfaces
     return surfaces

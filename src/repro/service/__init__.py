@@ -17,7 +17,8 @@ changing the simulation stack:
 * :mod:`repro.service.wsproto` — the hand-rolled RFC 6455 subset
   (the image ships no websocket library);
 * :mod:`repro.service.app` — the HTTP + WebSocket server tying the
-  above onto :class:`~repro.harness.async_bridge.AsyncRunner`;
+  above onto one :class:`~repro.harness.runner.SimulationRunner` per
+  (solver, chip), whose misses run on one shared compute thread pool;
 * :mod:`repro.service.client` — the matching asyncio client used by the
   tests, the load bench, and ``repro serve`` consumers.
 

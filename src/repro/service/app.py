@@ -7,9 +7,10 @@ this possible; the service is strictly a concurrency shell:
 * **jobs** are submitted as JSON (the same config surface as
   :class:`~repro.harness.parallel.SweepTask`, including ``solver`` and
   ``faults``), tracked by the strict state machine of
-  :mod:`repro.service.jobs`, and executed on the shared
-  :class:`~repro.harness.runner.SimulationRunner` through the
-  :class:`~repro.harness.async_bridge.AsyncRunner` thread bridge;
+  :mod:`repro.service.jobs`, and executed by one
+  :class:`~repro.harness.runner.SimulationRunner` per (solver, chip) on
+  one shared pool of ``max_workers`` compute threads — the event loop
+  never runs a simulation inline;
 * **identical work coalesces**: each task's full cache key is checked
   memory-tier first (cache-hit-first serving), and misses go through the
   :class:`~repro.service.coalesce.Coalescer`, so N concurrent requests
@@ -65,10 +66,10 @@ import struct
 import time
 import urllib.parse
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dataclass_fields
 
 from repro.core.config import SolarCoreConfig
-from repro.harness.async_bridge import AsyncRunner
 from repro.harness.runner import SimulationRunner
 from repro.service import wsproto
 from repro.service.coalesce import Coalescer
@@ -168,14 +169,18 @@ class SolarCoreService:
     """The long-running job server.
 
     Args:
-        config: Base simulation configuration; a job's ``solver`` field
-            overrides the solver per job (each solver gets its own
-            runner, since the solver is part of the cache identity).
+        config: Base simulation configuration.  Its solver and chip are
+            the defaults of jobs that name neither; a job's ``solver`` and
+            ``chip`` fields override them per job (each (solver, chip)
+            gets its own runner, since both are part of the cache
+            identity).
         host / port: Bind address (port 0 = ephemeral, for tests).
         cache_dir: Shared persistent result cache for every runner.
-        sweep_jobs: ``jobs=`` for the underlying runners (worker
-            *processes* used by grid prefetches; 1 = in-process).
-        max_workers: Compute threads per solver bridge.
+        max_workers: Compute threads, shared by every runner.  Threads,
+            not processes: results come back as live objects, each
+            runner's memory memo is shared by every compute, and
+            telemetry events reach the process-wide hub that streams
+            them.
         client_queue_size: Per-WebSocket-client bounded queue capacity.
         snapshot_interval_s: Cadence of telemetry snapshots on the
             stream (0 disables them).
@@ -196,10 +201,11 @@ class SolarCoreService:
             jobs before journaling them as ``interrupted``.
         journal_fsync: Force every journal append to stable storage (the
             acknowledgment guarantee).  Tests may disable for speed.
-        lease_stale_s: When set (with ``cache_dir``), runners use
-            cross-process compute leases: N server processes sharing the
-            cache directory produce exactly one compute per key, and a
-            leader silent for this many seconds is considered dead.
+        lease_stale_s: With ``cache_dir``, the cross-process compute
+            lease bound: N server processes sharing the cache directory
+            produce exactly one compute per key, and a leader silent for
+            this many seconds (or, on this host, whose process is gone)
+            is replaced.
     """
 
     def __init__(
@@ -209,7 +215,6 @@ class SolarCoreService:
         host: str = "127.0.0.1",
         port: int = 0,
         cache_dir=None,
-        sweep_jobs: int = 1,
         max_workers: int = 4,
         client_queue_size: int = 256,
         snapshot_interval_s: float = 1.0,
@@ -220,8 +225,10 @@ class SolarCoreService:
         recover: str = "retry",
         drain_timeout_s: float = 10.0,
         journal_fsync: bool = True,
-        lease_stale_s: float | None = None,
+        lease_stale_s: float = 30.0,
     ) -> None:
+        if max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max_queue must be >= 1 or None, got {max_queue}")
         if recover not in ("retry", "fail"):
@@ -230,14 +237,13 @@ class SolarCoreService:
         self.host = host
         self.port = port
         self.cache_dir = cache_dir
-        self.sweep_jobs = sweep_jobs
         self.max_workers = max_workers
         self.snapshot_interval_s = snapshot_interval_s
         self.ws_max_size = ws_max_size
         self.max_queue = max_queue
         self.recover = recover
         self.drain_timeout_s = drain_timeout_s
-        self.lease_stale_s = lease_stale_s if cache_dir is not None else None
+        self.lease_stale_s = lease_stale_s
         self.table = JobTable()
         self.coalescer = Coalescer()
         self.stream_hub = StreamHub(client_queue_size=client_queue_size)
@@ -258,7 +264,10 @@ class SolarCoreService:
 
             self.ledger = RunLedger(runs_dir)
         self._draining = False
-        self._bridges: dict[tuple[str, str], AsyncRunner] = {}
+        self._runners: dict[tuple[str, str], SimulationRunner] = {}
+        self._pool = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="solarcore-compute"
+        )
         self._job_tasks: dict[str, asyncio.Task] = {}
         self._job_done: dict[str, asyncio.Event] = {}
         self._job_started_s: dict[str, float] = {}
@@ -371,8 +380,13 @@ class SolarCoreService:
             await asyncio.gather(
                 *self._job_tasks.values(), return_exceptions=True
             )
-        for bridge in self._bridges.values():
-            await bridge.aclose(cancel_pending=self._draining)
+        # A draining server cancels queued-but-unstarted computes, so a
+        # backlog cannot hold the process past its drain deadline; threads
+        # already inside a simulation run to completion either way.
+        await asyncio.get_running_loop().run_in_executor(
+            None,
+            lambda: self._pool.shutdown(wait=True, cancel_futures=self._draining),
+        )
         self.stream_hub.close()
         for stream in list(self._job_streams):
             stream.close()
@@ -404,17 +418,16 @@ class SolarCoreService:
     # ------------------------------------------------------------------
     # Execution engine
     # ------------------------------------------------------------------
-    def _bridge(self, solver: str, chip: str | None = None) -> AsyncRunner:
-        """The per-(solver, chip) runner bridge.
+    def _runner(self, solver: str, chip: str) -> SimulationRunner:
+        """The per-(solver, chip) runner.
 
         Both axes are part of the runner's cache identity, so jobs that
         differ in either get separate runners (and never false-coalesce).
         """
         base = self.config
-        chip = base.chip_spec if chip is None else chip
         key = (solver, chip)
-        bridge = self._bridges.get(key)
-        if bridge is None:
+        runner = self._runners.get(key)
+        if runner is None:
             config = (
                 base
                 if base.solver == solver and base.chip_spec == chip
@@ -425,15 +438,12 @@ class SolarCoreService:
                     "chip_spec": chip,
                 })
             )
-            bridge = AsyncRunner(
-                SimulationRunner(
-                    config, jobs=self.sweep_jobs, cache_dir=self.cache_dir,
-                    lease_stale_s=self.lease_stale_s,
-                ),
-                max_workers=self.max_workers,
+            runner = SimulationRunner(
+                config, cache_dir=self.cache_dir,
+                lease_stale_s=self.lease_stale_s,
             )
-            self._bridges[key] = bridge
-        return bridge
+            self._runners[key] = runner
+        return runner
 
     def _on_job_event(self, event: str, job: Job) -> None:
         """``JobTable`` observer: journal first, then maybe compact.
@@ -545,7 +555,8 @@ class SolarCoreService:
 
     async def _execute(self, job: Job) -> list[dict]:
         """Run every task of ``job`` through the coalescer; returns summaries."""
-        bridge = self._bridge(job.spec.solver, job.spec.chip)
+        runner = self._runner(job.spec.solver, job.spec.chip)
+        loop = asyncio.get_running_loop()
         # Deadline jobs hard-release: their cancellation must truly stop
         # queued work.  Ordinary cancellations keep the warm-the-cache
         # orphan semantics.
@@ -554,15 +565,17 @@ class SolarCoreService:
         try:
             results: dict = {}
             for task in job.spec.tasks:
-                cached = bridge.peek_memory(task)
+                cached = runner.peek_memory(task)
                 if cached is not None:
                     # Cache-hit-first: answered inline, no executor hop.
                     job.cache_hits += 1
                     results[task] = cached
                     continue
-                start = lambda task=task: bridge.run_task(task)  # noqa: E731
+                start = lambda task=task: loop.run_in_executor(  # noqa: E731
+                    self._pool, runner.run_task, task
+                )
                 entry, attached = self.coalescer.acquire(
-                    bridge.cache_key(task), start
+                    runner.cache_key(task), start
                 )
                 if attached:
                     job.coalesced += 1
@@ -660,12 +673,13 @@ class SolarCoreService:
             duration = (
                 time.perf_counter() - started if started is not None else None
             )
+            runner = self._runner(job.spec.solver, job.spec.chip)
             manifest = build_manifest(
                 "service-job",
                 [],
-                config=self._bridge(job.spec.solver, job.spec.chip).runner.config,
+                config=runner.config,
                 faults=None,
-                jobs=self.sweep_jobs,
+                jobs=runner.jobs,
                 duration_s=duration,
                 extra={
                     "job_id": job.job_id,
@@ -728,8 +742,8 @@ class SolarCoreService:
                 "rejected_draining": self.rejected_draining,
             },
             "runners": {
-                f"{solver}/{chip}": bridge.stats()
-                for (solver, chip), bridge in sorted(self._bridges.items())
+                f"{solver}/{chip}": runner.stats()
+                for (solver, chip), runner in sorted(self._runners.items())
             },
         }
         if self.journal is not None:
@@ -907,6 +921,11 @@ class SolarCoreService:
             doc = json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _HttpError(400, f"body is not valid JSON: {exc}") from None
+        if isinstance(doc, dict):
+            # A job naming no solver or chip runs on the server's; the
+            # spec (and so the journal) keeps the filled-in values.
+            doc = {"solver": self.config.solver,
+                   "chip": self.config.chip_spec, **doc}
         try:
             spec = JobSpec.from_dict(doc)
         except JobSpecError as exc:

@@ -18,8 +18,8 @@ exception forever.
 
 Loop affinity: every method must be called from the event-loop thread.
 The compute itself runs wherever the supplied factory puts it (the
-service uses :class:`~repro.harness.async_bridge.AsyncRunner`'s thread
-pool); only the bookkeeping is loop-bound.
+service hands :meth:`~repro.harness.runner.SimulationRunner.run_task`
+to its compute thread pool); only the bookkeeping is loop-bound.
 """
 
 from __future__ import annotations

@@ -10,15 +10,18 @@ comment.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from dataclasses import dataclass
 
 import pytest
 
-from repro.harness.parallel import DiskResultCache
+from repro.harness.parallel import DiskResultCache, SweepTask
+from repro.harness.runner import SimulationRunner
 
 KEY = ("mppt", "HM2", "PFCI", 7, "MPPT&Opt", None, None)
 
@@ -198,33 +201,116 @@ def _lease_and_hang(root, ready):
     time.sleep(300)
 
 
-def test_stale_lease_takeover_after_sigkilled_owner(tmp_path):
-    DiskResultCache(tmp_path, fingerprint="race-test")
+def _start_lease_owner(tmp_path):
+    """A child process holding ``KEY``'s lease (and hanging)."""
     ctx = multiprocessing.get_context()
     ready = ctx.Event()
     owner = ctx.Process(target=_lease_and_hang, args=(str(tmp_path), ready))
     owner.start()
+    assert ready.wait(timeout=30), "owner never took the lease"
+    return owner
+
+
+def _stop(owner) -> None:
+    if owner.is_alive():
+        owner.kill()
+    owner.join(timeout=10)
+
+
+def test_stale_lease_takeover_after_sigkilled_owner(tmp_path):
+    DiskResultCache(tmp_path, fingerprint="race-test")
+    owner = _start_lease_owner(tmp_path)
     try:
-        assert ready.wait(timeout=30), "owner never took the lease"
         os.kill(owner.pid, signal.SIGKILL)
         owner.join(timeout=30)
 
         cache = DiskResultCache(tmp_path, fingerprint="race-test")
-        # While the corpse's lease is fresh, we are a follower.
-        assert cache.try_lease(KEY, stale_after_s=30.0) is None
-        # Once its heartbeat age passes the staleness bound, takeover.
-        time.sleep(0.6)
+        # The corpse's lease is fresh, but its process is gone from this
+        # host: a follower takes over at once instead of waiting.
         result, computed = cache.load_or_compute(
             KEY, lambda: Payload(writer="successor"),
-            stale_after_s=0.5, poll_s=0.01,
+            stale_after_s=3600.0, poll_s=0.01,
         )
         assert computed is True
         assert result.writer == "successor"
         assert not cache.lease_path_for(KEY).exists()
     finally:
-        if owner.is_alive():
-            owner.kill()
-            owner.join(timeout=10)
+        _stop(owner)
+
+
+def test_dead_owner_lease_is_stale_at_once_live_owner_is_not(tmp_path):
+    DiskResultCache(tmp_path, fingerprint="race-test")
+    cache = DiskResultCache(tmp_path, fingerprint="race-test")
+    owner = _start_lease_owner(tmp_path)
+    try:
+        # A live owner's fresh lease holds, however long we would wait.
+        assert cache.try_lease(KEY, stale_after_s=3600.0) is None
+        os.kill(owner.pid, signal.SIGKILL)
+        owner.join(timeout=30)
+        start = time.monotonic()
+        lease = cache.try_lease(KEY, stale_after_s=3600.0)
+        assert lease is not None, "a dead owner's lease must be taken over"
+        assert time.monotonic() - start < 1.0
+        lease.release()
+    finally:
+        _stop(owner)
+
+
+def test_lease_from_another_host_keeps_the_mtime_rule(tmp_path):
+    """A pid from another host (or boot) cannot be checked here: only its
+    heartbeat age can make that lease stale."""
+    cache = DiskResultCache(tmp_path, fingerprint="race-test")
+    path = cache.lease_path_for(KEY)
+    path.write_text(json.dumps({
+        "pid": 2 ** 22 + 1, "host": "elsewhere", "boot": "other-boot",
+        "token": "foreign", "created": time.time(),
+    }))
+    assert cache.try_lease(KEY, stale_after_s=3600.0) is None
+    old = time.time() - 60.0
+    os.utime(path, (old, old))
+    lease = cache.try_lease(KEY, stale_after_s=30.0)
+    assert lease is not None
+    lease.release()
+
+
+def _lease_then_store(root, key, ready, go):
+    """Lead ``key``'s compute: lease it, wait for ``go``, store, release."""
+    cache = DiskResultCache(root)
+    lease = cache.try_lease(key, stale_after_s=30.0)
+    assert lease is not None
+    ready.set()
+    assert go.wait(timeout=30)
+    cache.store(key, Payload(writer="leader"))
+    lease.release()
+
+
+def test_runner_with_only_cache_dir_follows_a_fresh_lease(tmp_path, monkeypatch):
+    """A runner built with just ``cache_dir=`` waits for another process's
+    compute instead of duplicating it."""
+    runner = SimulationRunner(cache_dir=tmp_path)
+    task = SweepTask("mppt", "HM2", "AZ", 7)
+
+    def no_compute(task, config):
+        raise AssertionError("the follower must not compute")
+
+    monkeypatch.setattr("repro.harness.runner.compute_task", no_compute)
+    ctx = multiprocessing.get_context()
+    ready, go = ctx.Event(), ctx.Event()
+    leader = ctx.Process(
+        target=_lease_then_store,
+        args=(str(tmp_path), runner.cache_key(task), ready, go),
+    )
+    leader.start()
+    try:
+        assert ready.wait(timeout=30), "leader never took the lease"
+        threading.Timer(0.3, go.set).start()
+        result = runner.run_task(task)
+        assert result.writer == "leader"
+        assert runner.stats()["lease_follows"] == 1
+        leader.join(timeout=30)
+        assert leader.exitcode == 0
+    finally:
+        _stop(leader)
 
 
 def test_heartbeat_keeps_slow_compute_leased(tmp_path):

@@ -33,7 +33,7 @@ from repro.harness.parallel import (
     run_parallel,
 )
 from repro.harness.runner import SimulationRunner
-from repro.telemetry import telemetry_session
+from repro.telemetry import RingBufferSink, telemetry_session
 
 #: Coarse steps keep one day cheap; the determinism contract is
 #: resolution-independent.
@@ -320,10 +320,38 @@ class TestTelemetryFromWorkers:
         assert snapshot["timers"]["run_day"]["count"] == len(tasks)
         assert snapshot["timers"]["run_day"]["total"] > 0.0
 
-    def test_workers_stay_silent_when_parent_hub_disabled(self):
+    def test_workers_stay_silent_when_parent_hub_disabled(self, monkeypatch):
+        merged = []
+        monkeypatch.setattr(
+            "repro.telemetry.hub.NullTelemetry.merge_snapshot",
+            lambda self, data: merged.append(data),
+        )
         tasks = [SweepTask("mppt", "L1", "AZ", 7)]
-        _, snapshots = run_parallel(tasks, CFG, jobs=2, collect_telemetry=False)
-        assert snapshots == []
+        assert set(run_parallel(tasks, CFG, jobs=2)) == set(tasks)
+        assert merged == []
+
+
+class TestInProcessSweep:
+    def test_jobs1_runs_in_process_under_the_callers_hub(self, monkeypatch):
+        """``jobs=1`` creates no pool, and its events reach the caller's
+        sinks directly (no snapshot hop)."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs=1 must not create a process pool")
+
+        monkeypatch.setattr(
+            "repro.harness.parallel.ProcessPoolExecutor", no_pool
+        )
+        sink = RingBufferSink()
+        tasks = grid_tasks(("L1", "H1"), ("AZ",), (7,))
+        stored = []
+        with telemetry_session(sinks=[sink]) as hub:
+            results = run_parallel(
+                tasks, CFG, jobs=1, store=lambda t, r: stored.append(t)
+            )
+        assert set(results) == set(tasks) == set(stored)
+        assert hub.snapshot()["counters"]["sim.days"] == len(tasks)
+        assert len(sink.events("tracking")) > 0
 
 
 class TestConfigKeyRoundTrip:

@@ -1,4 +1,4 @@
-"""Resilient sweep execution: retries, salvage, timeouts, cache-dir resume.
+"""Resilient sweep execution: retries, failure reports, timeouts, resume.
 
 The worker pool uses the ``fork`` start method on Linux, so workers
 inherit an in-process monkeypatch of
@@ -19,11 +19,8 @@ from repro.harness import parallel as parallel_mod
 from repro.harness.parallel import (
     DiskResultCache,
     SweepError,
-    SweepFailureReport,
     SweepTask,
-    TaskFailure,
     run_parallel,
-    run_serial,
 )
 from repro.harness.runner import SimulationRunner
 from repro.telemetry import telemetry_session
@@ -36,6 +33,12 @@ GOOD_B = SweepTask("mppt", "H1", "AZ", 7)
 BAD = SweepTask("mppt", "NOPE", "TN", 1)
 
 real_compute = parallel_mod.compute_task
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retry waves start at once (the backoff schedule is not under test)."""
+    monkeypatch.setattr(parallel_mod, "RETRY_BASE_S", 0.0)
 
 
 def counting_compute(log_path, inner=real_compute):
@@ -60,30 +63,68 @@ def invocations(log_path) -> list[str]:
         return handle.read().splitlines()
 
 
+def collecting_store():
+    """A ``store`` hook plus the dict it fills."""
+    stored = {}
+
+    def store(task, result):
+        stored[task] = result
+
+    return store, stored
+
+
 class TestSalvage:
+    """A failing sweep keeps every good result: each reaches ``store``
+    before one :class:`SweepError` lists every failed task."""
+
     def test_parallel_salvage_returns_partial_results(self):
-        results, _, report = run_parallel(
-            [GOOD_A, BAD], CFG, jobs=2, salvage=True
-        )
-        assert GOOD_A in results and BAD not in results
-        assert report
-        (failure,) = report.failures
-        assert failure.task == BAD
-        assert failure.attempts == 1
-        assert not failure.timed_out
-        assert report.completed == 1 and report.attempted == 2
-        assert "mix=NOPE" in report.summary()
+        store, stored = collecting_store()
+        with pytest.raises(SweepError) as err:
+            run_parallel([GOOD_A, BAD], CFG, jobs=2, store=store)
+        assert set(stored) == {GOOD_A}
+        assert list(err.value.failures) == [BAD]
+        _error, attempts, timed_out = err.value.failures[BAD]
+        assert attempts == 1 and not timed_out
+        assert "mix=NOPE" in str(err.value)
 
     def test_serial_salvage_matches(self):
-        results, report = run_serial([GOOD_A, BAD], CFG, salvage=True)
-        assert GOOD_A in results and BAD not in results
-        assert [f.task for f in report.failures] == [BAD]
+        store, stored = collecting_store()
+        with pytest.raises(SweepError) as err:
+            run_parallel([GOOD_A, BAD], CFG, jobs=1, store=store)
+        assert set(stored) == {GOOD_A}
+        assert list(err.value.failures) == [BAD]
 
-    def test_salvage_counts_failures_in_telemetry(self):
-        with telemetry_session() as tel:
-            run_serial([BAD], CFG, salvage=True)
-            snap = tel.snapshot()
-        assert snap["counters"]["sweep.salvaged_failures"] == 1
+    def test_two_bad_tasks_raise_one_error_naming_both(self, tmp_path):
+        """Every failed task is listed with its attempt count and timed-out
+        flag, every good task already reached ``store``, and a rerun on
+        the same cache dir computes only the bad tasks."""
+        log_path = tmp_path / "calls.log"
+        bad_b = SweepTask("mppt", "NOPE", "AZ", 1)
+        tasks = [GOOD_A, BAD, GOOD_B, bad_b]
+        store, stored = collecting_store()
+        with pytest.raises(SweepError) as err:
+            run_parallel(tasks, CFG, jobs=2, retries=1, store=store)
+        assert set(stored) == {GOOD_A, GOOD_B}
+        failures = err.value.failures
+        assert list(failures) == [BAD, bad_b]
+        for task in (BAD, bad_b):
+            error, attempts, timed_out = failures[task]
+            assert attempts == 2 and timed_out is False
+            assert "KeyError" in error
+            assert task.describe() in str(err.value)
+
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SweepError):
+            SimulationRunner(CFG, jobs=2, cache_dir=cache_dir).prefetch(tasks)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                parallel_mod, "compute_task", counting_compute(log_path)
+            )
+            with pytest.raises(SweepError):
+                SimulationRunner(CFG, jobs=2, cache_dir=cache_dir).prefetch(tasks)
+        assert sorted(invocations(log_path)) == sorted(
+            t.describe() for t in (BAD, bad_b)
+        )
 
     def test_worker_crash_is_contained(self, monkeypatch):
         """A worker dying mid-task (BrokenProcessPool) fails only its
@@ -91,38 +132,31 @@ class TestSalvage:
 
         def crashing(task, config):
             if task.mix_name == "NOPE":
+                # Die only after the healthy chunk has landed, so only
+                # the crashing cell needs the retry wave.
+                time.sleep(1.0)
                 os._exit(13)
             return real_compute(task, config)
 
         monkeypatch.setattr(parallel_mod, "compute_task", crashing)
-        # One worker: the healthy chunk finishes before the crasher kills
-        # the pool, so only the crashing cell needs the retry wave.
-        results, _, report = run_parallel(
-            [GOOD_A, BAD], CFG, jobs=1, salvage=True,
-            retries=1, retry_base_s=0.0,
-        )
-        assert GOOD_A in results
-        (failure,) = report.failures
-        assert failure.task == BAD
-        assert failure.attempts == 2
-        assert "BrokenProcessPool" in failure.error
+        store, stored = collecting_store()
+        with pytest.raises(SweepError) as err:
+            run_parallel([GOOD_A, BAD], CFG, jobs=2, retries=1, store=store)
+        assert GOOD_A in stored
+        (failed,) = err.value.failures
+        assert failed == BAD
+        error, attempts, _timed_out = err.value.failures[BAD]
+        assert attempts == 2
+        assert "BrokenProcessPool" in error
 
     def test_without_salvage_the_sweep_raises(self):
-        with pytest.raises(SweepError, match=r"serially.*mix=NOPE"):
-            run_serial([GOOD_A, BAD], CFG)
-
-    def test_empty_report_is_falsy(self):
-        _, report = run_serial([GOOD_A], CFG, salvage=True)
-        assert not report
-        assert "all 1 task(s) succeeded" in report.summary()
+        with pytest.raises(SweepError, match=r"(?s)1 sweep task\(s\) failed.*mix=NOPE"):
+            run_parallel([GOOD_A, BAD], CFG, jobs=1)
 
     def test_failure_report_is_plain_data(self):
-        report = SweepFailureReport(
-            failures=[TaskFailure(task=BAD, error="KeyError: 'NOPE'", attempts=3)],
-            completed=5,
-            attempted=6,
-        )
-        assert "failed after 3 attempt(s)" in report.summary()
+        error = SweepError({BAD: ("KeyError: 'NOPE'", 3, False)})
+        assert error.failures[BAD] == ("KeyError: 'NOPE'", 3, False)
+        assert "failed after 3 attempt(s)" in str(error)
 
 
 class TestRetries:
@@ -137,7 +171,7 @@ class TestRetries:
 
         monkeypatch.setattr(parallel_mod, "compute_task", flaky)
         with telemetry_session() as tel:
-            results = run_serial([GOOD_A], CFG, retries=1, retry_base_s=0.0)
+            results = run_parallel([GOOD_A], CFG, jobs=1, retries=1)
             snap = tel.snapshot()
         assert GOOD_A in results
         assert calls["n"] == 2
@@ -154,17 +188,14 @@ class TestRetries:
             return real_compute(task, config)
 
         monkeypatch.setattr(parallel_mod, "compute_task", flaky)
-        results, _ = run_parallel(
-            [GOOD_A], CFG, jobs=2, retries=2, retry_base_s=0.0
-        )
+        results = run_parallel([GOOD_A], CFG, jobs=2, retries=2)
         assert GOOD_A in results
         assert len(invocations(log_path)) == 2
 
     def test_retries_exhausted_reports_attempt_count(self):
-        _, report = run_serial(
-            [BAD], CFG, retries=2, retry_base_s=0.0, salvage=True
-        )
-        assert report.failures[0].attempts == 3
+        with pytest.raises(SweepError, match=r"after 3 attempt") as err:
+            run_parallel([BAD], CFG, jobs=1, retries=2)
+        assert err.value.failures[BAD][1] == 3
 
     def test_negative_retries_rejected_by_runner(self):
         with pytest.raises(ValueError, match="retries"):
@@ -180,20 +211,26 @@ class TestTaskTimeout:
         monkeypatch.setattr(parallel_mod, "compute_task", hang)
         start = time.monotonic()
         with telemetry_session() as tel:
-            results, _, report = run_parallel(
-                [GOOD_A], CFG, jobs=1, salvage=True, task_timeout=0.2
-            )
+            with pytest.raises(SweepError) as err:
+                run_parallel([GOOD_A], CFG, jobs=2, task_timeout=0.2)
             snap = tel.snapshot()
         assert time.monotonic() - start < 15.0, "the sweep must not hang"
-        assert results == {}
-        (failure,) = report.failures
-        assert failure.timed_out
-        assert "timed out" in failure.error
+        error, attempts, timed_out = err.value.failures[GOOD_A]
+        assert timed_out and attempts == 1
+        assert "timed out" in error
         assert snap["counters"]["sweep.timeouts"] == 1
 
     def test_fast_tasks_unaffected_by_generous_timeout(self):
-        results, _ = run_parallel([GOOD_A], CFG, jobs=1, task_timeout=120.0)
+        results = run_parallel([GOOD_A], CFG, jobs=2, task_timeout=120.0)
         assert GOOD_A in results
+
+    def test_timeout_needs_a_worker_process(self):
+        """An in-process task cannot be abandoned, so a timeout without
+        workers is refused instead of silently ignored."""
+        with pytest.raises(ValueError, match="jobs >= 2"):
+            run_parallel([GOOD_A], CFG, jobs=1, task_timeout=5.0)
+        with pytest.raises(ValueError, match="jobs >= 2"):
+            SimulationRunner(CFG, task_timeout=5.0)
 
 
 class TestCheckpointResume:
@@ -209,17 +246,17 @@ class TestCheckpointResume:
         )
         cache_dir = tmp_path / "cache"
 
-        first = SimulationRunner(CFG, cache_dir=cache_dir, salvage=True)
-        results = first.prefetch([GOOD_A, GOOD_B, BAD])
-        assert set(results) == {GOOD_A, GOOD_B}
+        first = SimulationRunner(CFG, cache_dir=cache_dir)
+        with pytest.raises(SweepError):
+            first.prefetch([GOOD_A, GOOD_B, BAD])
         assert len(invocations(log_path)) == 3  # two successes + one failure
 
         # "Crash"; a new process reruns with the same cache dir.
-        resumed = SimulationRunner(CFG, cache_dir=cache_dir, salvage=True)
-        results = resumed.prefetch([GOOD_A, GOOD_B, BAD])
-        assert set(results) == {GOOD_A, GOOD_B}
-        report = resumed.last_failure_report
-        assert [f.task for f in report.failures] == [BAD]
+        resumed = SimulationRunner(CFG, cache_dir=cache_dir)
+        with pytest.raises(SweepError) as err:
+            resumed.prefetch([GOOD_A, GOOD_B, BAD])
+        assert list(err.value.failures) == [BAD]
+        assert resumed.disk.hits == 2
         # Only the failed cell was recomputed.
         assert len(invocations(log_path)) == 4
         assert invocations(log_path)[-1] == BAD.describe()
@@ -298,18 +335,13 @@ class TestCheckpointResume:
 
 
 class TestRunnerIntegration:
-    def test_salvaging_runner_exposes_failure_report(self):
-        runner = SimulationRunner(CFG, jobs=2, salvage=True, retries=1)
-        results = runner.prefetch([GOOD_A, BAD])
-        assert set(results) == {GOOD_A}
-        assert runner.last_failure_report
-        assert [f.task for f in runner.last_failure_report.failures] == [BAD]
-
-    def test_salvaging_runner_reports_clean_run(self):
-        runner = SimulationRunner(CFG, salvage=True)
-        runner.prefetch([GOOD_A])
-        assert runner.last_failure_report is not None
-        assert not runner.last_failure_report
+    def test_failed_prefetch_keeps_good_results_in_memory(self):
+        runner = SimulationRunner(CFG, jobs=2, retries=1)
+        with pytest.raises(SweepError) as err:
+            runner.prefetch([GOOD_A, BAD])
+        assert list(err.value.failures) == [BAD]
+        assert runner.peek_memory(GOOD_A) is not None
+        assert runner.stats()["misses"] == 1
 
     def test_runner_threads_checkpoint_through_prefetch(self, tmp_path):
         """Prefetch persists each result through the runner's store hook."""

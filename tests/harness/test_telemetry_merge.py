@@ -7,7 +7,8 @@ hazard is a task that fails *after* doing real work (it simulated the
 day, then raised): a chunk-level hub would have absorbed that partial
 work before the failure, and the retry would add it again.  The engine
 therefore runs each task under a private hub and folds it into the
-chunk snapshot only on success.
+chunk snapshot only on success; the parent merges each chunk snapshot
+into its current hub as the chunk lands.
 
 Workers fork on Linux, so in-process monkeypatches of
 :func:`repro.harness.parallel.compute_task` reach them, and O_APPEND
@@ -18,11 +19,13 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro.core.config import SolarCoreConfig
 from repro.harness import parallel as parallel_mod
 from repro.harness.parallel import SweepTask, grid_tasks, run_parallel
 from repro.harness.runner import SimulationRunner
-from repro.telemetry import Telemetry, telemetry_session
+from repro.telemetry import telemetry_session
 
 CFG = SolarCoreConfig(step_minutes=10.0)
 
@@ -30,6 +33,11 @@ GOOD_A = SweepTask("mppt", "L1", "AZ", 7)
 GOOD_B = SweepTask("mppt", "H1", "AZ", 7)
 
 real_compute = parallel_mod.compute_task
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(parallel_mod, "RETRY_BASE_S", 0.0)
 
 
 def attempts(log_path) -> int:
@@ -73,28 +81,17 @@ def fail_first_attempt_after_work(log_path, target):
     return wrapper
 
 
-def merge_all(snapshots, profiled=False) -> Telemetry:
-    hub = Telemetry(profile=profiled)
-    for snapshot in snapshots:
-        hub.merge_snapshot(snapshot)
-    return hub
-
-
 class TestExactlyOnceCounters:
     def test_pre_work_failure_counts_once(self, monkeypatch, tmp_path):
         monkeypatch.setattr(
             parallel_mod, "compute_task",
             fail_first_attempt_before_work(tmp_path / "log", GOOD_A),
         )
-        with telemetry_session():
-            results, snapshots = run_parallel(
-                [GOOD_A, GOOD_B], CFG, jobs=2,
-                collect_telemetry=True, retries=2, retry_base_s=0.0,
-            )
+        with telemetry_session() as hub:
+            results = run_parallel([GOOD_A, GOOD_B], CFG, jobs=2, retries=2)
         assert set(results) == {GOOD_A, GOOD_B}
         assert attempts(tmp_path / "log") == 2
-        merged = merge_all(snapshots)
-        assert merged.snapshot()["counters"]["sim.days"] == 2
+        assert hub.snapshot()["counters"]["sim.days"] == 2
 
     def test_post_work_failure_counts_once(self, monkeypatch, tmp_path):
         """The sharper variant: the failed attempt did a full day of work
@@ -103,27 +100,20 @@ class TestExactlyOnceCounters:
             parallel_mod, "compute_task",
             fail_first_attempt_after_work(tmp_path / "log", GOOD_A),
         )
-        with telemetry_session():
-            results, snapshots = run_parallel(
-                [GOOD_A, GOOD_B], CFG, jobs=2,
-                collect_telemetry=True, retries=2, retry_base_s=0.0,
-            )
+        with telemetry_session() as hub:
+            results = run_parallel([GOOD_A, GOOD_B], CFG, jobs=2, retries=2)
         assert set(results) == {GOOD_A, GOOD_B}
         assert attempts(tmp_path / "log") == 2
-        merged = merge_all(snapshots)
-        counters = merged.snapshot()["counters"]
+        counters = hub.snapshot()["counters"]
         assert counters["sim.days"] == 2
         # Timers fold the same way: one day timer per retired task.
-        timers = merged.snapshot()["timers"]
+        timers = hub.snapshot()["timers"]
         assert timers["run_day"]["count"] == 2
 
     def test_no_retries_no_failures_counts_every_task(self, monkeypatch, tmp_path):
-        with telemetry_session():
-            _, snapshots = run_parallel(
-                [GOOD_A, GOOD_B], CFG, jobs=2, collect_telemetry=True
-            )
-        merged = merge_all(snapshots)
-        assert merged.snapshot()["counters"]["sim.days"] == 2
+        with telemetry_session() as hub:
+            run_parallel([GOOD_A, GOOD_B], CFG, jobs=2)
+        assert hub.snapshot()["counters"]["sim.days"] == 2
 
 
 class TestExactlyOnceProfiles:
@@ -132,16 +122,11 @@ class TestExactlyOnceProfiles:
             parallel_mod, "compute_task",
             fail_first_attempt_after_work(tmp_path / "log", GOOD_A),
         )
-        with telemetry_session():
-            results, snapshots = run_parallel(
-                [GOOD_A, GOOD_B], CFG, jobs=2,
-                collect_telemetry=True, collect_profile=True,
-                retries=2, retry_base_s=0.0,
-            )
+        with telemetry_session(profile=True) as hub:
+            results = run_parallel([GOOD_A, GOOD_B], CFG, jobs=2, retries=2)
         assert set(results) == {GOOD_A, GOOD_B}
         assert attempts(tmp_path / "log") == 2
-        merged = merge_all(snapshots, profiled=True)
-        table = merged.timers
+        table = hub.timers
         # Exactly one day profile per retired task, despite the extra
         # (discarded) attempt, and the timers match the day profiles.
         assert len(table.days) == 2
@@ -150,14 +135,6 @@ class TestExactlyOnceProfiles:
             day.phases["controller.track"][0] for day in table.days
         )
 
-    def test_collect_profile_without_telemetry_flag(self):
-        """``collect_profile`` alone is enough to ship profiles home."""
-        with telemetry_session():
-            _, snapshots = run_parallel(
-                [GOOD_A], CFG, jobs=1, collect_profile=True
-            )
-        merged = merge_all(snapshots, profiled=True)
-        assert len(merged.timers.days) == 1
 
 
 class TestSerialParallelParity:

@@ -8,6 +8,8 @@ fallback counters — the moment a query leaves the tabulated domain.
 """
 
 import math
+import threading
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -188,6 +190,41 @@ class TestIdentity:
                                                      error_samples=8))
         keys = {surfaces.key, other_spec.key, other_device.key}
         assert len(keys) == 3
+
+    def test_concurrent_first_uses_build_once(self, monkeypatch):
+        """Two threads asking for a missing surface set get one build and
+        the same object."""
+        from repro.power import surface as surface_mod
+
+        monkeypatch.setattr(surface_mod, "_REGISTRY", {})
+        monkeypatch.delenv(surface_mod.SURFACE_DIR_ENV, raising=False)
+        real_build = OperatingSurfaces.build.__func__
+        builds = []
+
+        def slow_counting_build(cls, device, spec=None):
+            builds.append(device)
+            time.sleep(0.2)  # both threads arrive while the build runs
+            return real_build(cls, device, spec)
+
+        monkeypatch.setattr(
+            OperatingSurfaces, "build", classmethod(slow_counting_build)
+        )
+        spec = SurfaceSpec(n_t=6, n_g=6, n_rho=8, n_pfrac=6, error_samples=8)
+        device = PVArray()
+        barrier = threading.Barrier(2)
+        got = []
+
+        def first_use():
+            barrier.wait()
+            got.append(get_surfaces(device, spec=spec))
+
+        threads = [threading.Thread(target=first_use) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len(builds) == 1
+        assert len(got) == 2 and got[0] is got[1]
 
     def test_persistence_roundtrip(self, surfaces, tmp_path):
         path = surfaces.save(tmp_path)

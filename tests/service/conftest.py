@@ -57,7 +57,8 @@ class GatedCompute:
 
     Every call records itself, then waits on the gate.  The test decides
     when computes may finish (:meth:`release`), how many have *started*
-    (:attr:`started`), and how many ever ran (:attr:`calls`).
+    (:attr:`started`), how many ever ran (:attr:`calls`), and how many
+    ran at once at most (:attr:`peak`).
     """
 
     def __init__(self) -> None:
@@ -66,10 +67,12 @@ class GatedCompute:
         self.calls = 0
         self.started = threading.Event()
         self.finished = 0
+        self.peak = 0
 
     def __call__(self, task, config):
         with self._lock:
             self.calls += 1
+            self.peak = max(self.peak, self.calls - self.finished)
         self.started.set()
         assert self._gate.wait(DEFAULT_TIMEOUT_S), "gate never released"
         result = FakeDayResult(task.mix_name, task.location_code, task.month)

@@ -154,6 +154,44 @@ def test_per_solver_runners_are_isolated(harness_factory, gated_compute):
     run_async(main())
 
 
+def test_jobs_default_to_the_servers_solver_and_chip(
+    harness_factory, gated_compute
+):
+    async def main():
+        gated_compute.release()
+        async with harness_factory(config=SolarCoreConfig(solver="table")) as h:
+            doc = await h.client.submit(dict(SPEC), wait=True)
+            assert doc["state"] == DONE
+            assert doc["solver"] == "table"
+            stats = await h.client.stats()
+            assert set(stats["runners"]) == {"table/alpha8"}
+
+    run_async(main())
+
+
+def test_every_runner_shares_one_compute_pool(harness_factory, gated_compute):
+    """``max_workers`` bounds computes across solvers, not per solver."""
+
+    async def main():
+        async with harness_factory(max_workers=2) as h:
+            jobs = [
+                await h.client.submit(dict(SPEC, month=month, solver=solver))
+                for solver in ("exact", "table") for month in (1, 4, 7)
+            ]
+            while gated_compute.calls < 2:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.3)  # room for any extra thread to start
+            assert gated_compute.peak == 2
+            gated_compute.release()
+            for doc in jobs:
+                final = await h.client.wait_terminal(doc["job_id"])
+                assert final["state"] == DONE
+            assert gated_compute.calls == 6
+            assert gated_compute.peak == 2
+
+    run_async(main())
+
+
 def test_real_simulation_end_to_end():
     # One unfaked pass through the full stack: real weather, real panel,
     # real day engine, summarized over HTTP.  Coarse cadence keeps it fast.

@@ -142,6 +142,24 @@ class TestSlowCommands:
         assert "overall utilization" in out
 
 
+class TestUsageErrors:
+    def test_task_timeout_needs_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "--task-timeout", "5"])
+        assert exit_info.value.code == 2
+        assert "--task-timeout needs --jobs >= 2" in capsys.readouterr().err
+
+    def test_lease_stale_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--lease-stale", "0"])
+        assert exit_info.value.code == 2
+        assert "--lease-stale must be > 0" in capsys.readouterr().err
+
+    def test_serve_has_no_jobs_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--jobs", "2"])
+
+
 class TestProfile:
     def test_profile_command_prints_phase_report(self, capsys):
         assert main([
