@@ -421,6 +421,24 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type`` for integers in ``[low, high]`` (no upper bound
+    when ``high`` is None), so a bad value is a usage error naming its flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}-{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+_month = _int_in(1, 12)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -454,14 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     #   repro experiment fig18 --jobs 4 --cache-dir ~/.cache/solarcore
     sweep = argparse.ArgumentParser(add_help=False)
     par = sweep.add_argument_group("parallel sweep")
-    par.add_argument("--jobs", type=int, default=1, metavar="N",
+    par.add_argument("--jobs", type=_int_in(1), default=1, metavar="N",
                      help="fan day simulations out over N worker processes")
     par.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="persist day results to a content-addressed disk "
                           "cache under DIR (reused across runs; invalidated "
                           "when the repro source changes)")
     res = sweep.add_argument_group("resilience")
-    res.add_argument("--retries", type=int, default=0, metavar="N",
+    res.add_argument("--retries", type=_int_in(0), default=0, metavar="N",
                      help="retry failed sweep tasks up to N more times "
                           "(exponential backoff, fresh workers)")
     res.add_argument("--task-timeout", type=float, default=None,
@@ -506,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="summarize a synthetic weather day",
                            parents=[common])
     trace.add_argument("--site", "--location", dest="site", default="AZ")
-    trace.add_argument("--month", type=int, default=7)
+    trace.add_argument("--month", type=_month, default=7)
     trace.add_argument("--seed", type=int, default=None)
 
     simulate = sub.add_parser("simulate", help="run one day simulation",
@@ -514,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--mix", default="HM2")
     simulate.add_argument("--site", "--location", dest="site", default="AZ",
                           help="station code (PFCI/BMS/ECSU/ORNL or AZ/CO/NC/TN)")
-    simulate.add_argument("--month", type=int, default=7)
+    simulate.add_argument("--month", type=_month, default=7)
     simulate.add_argument("--policy", default="MPPT&Opt")
     simulate.add_argument("--fixed-budget", type=float, default=None,
                           help="run the Fixed-Power baseline at this budget [W]")
@@ -532,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                           parents=[common, solver, chip])
     rack.add_argument("--mixes", nargs="+", default=["H1", "L1", "HM2", "ML2"])
     rack.add_argument("--site", "--location", dest="site", default="AZ")
-    rack.add_argument("--month", type=int, default=7)
+    rack.add_argument("--month", type=_month, default=7)
     rack.add_argument("--policy", default="tpr",
                       choices=["equal", "proportional", "tpr"])
     rack.add_argument("--faults", default=None, metavar="SPEC",
@@ -543,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--mix", default="HM2")
     campaign.add_argument("--sites", "--locations", dest="sites", nargs="+",
                           default=["AZ", "TN"])
-    campaign.add_argument("--months", nargs="+", type=int, default=[1, 7])
-    campaign.add_argument("--days", type=int, default=3)
+    campaign.add_argument("--months", nargs="+", type=_month, default=[1, 7])
+    campaign.add_argument("--days", type=_int_in(1), default=3)
     campaign.add_argument("--policy", default="MPPT&Opt")
     campaign.add_argument("--faults", default=None, metavar="SPEC",
                           help="apply a fault schedule to every campaign day")
@@ -558,9 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, solver, chip])
     profile.add_argument("--mix", default="HM2")
     profile.add_argument("--site", "--location", dest="site", default="AZ")
-    profile.add_argument("--month", type=int, default=7)
+    profile.add_argument("--month", type=_month, default=7)
     profile.add_argument("--policy", default="MPPT&Opt")
-    profile.add_argument("--repeat", type=int, default=1, metavar="N",
+    profile.add_argument("--repeat", type=_int_in(1), default=1, metavar="N",
                          help="profile N identical days (steadier shares)")
     profile.add_argument("--faults", default=None, metavar="SPEC",
                          help="inject a fault schedule into the profiled day")
@@ -590,7 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port; 0 picks an ephemeral port")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="shared persistent result cache for every job")
-    serve.add_argument("--max-workers", type=int, default=4, metavar="N",
+    serve.add_argument("--max-workers", type=_int_in(1), default=4,
+                       metavar="N",
                        help="compute threads multiplexing jobs (default: 4)")
     serve.add_argument("--queue-size", type=int, default=256, metavar="N",
                        help="per-WebSocket-client bounded queue capacity "
@@ -599,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="telemetry snapshot cadence on /ws/telemetry "
                             "(0 disables snapshots)")
-    serve.add_argument("--max-queue", type=int, default=0, metavar="N",
+    serve.add_argument("--max-queue", type=_int_in(0), default=0,
+                       metavar="N",
                        help="bounded admission: reject submissions with 429 "
                             "once N jobs are live (0 = unbounded)")
     serve.add_argument("--journal-dir", default=None, metavar="DIR",

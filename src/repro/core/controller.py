@@ -97,7 +97,6 @@ class SolarCoreController:
         tuner: LoadTuner,
         config: SolarCoreConfig | None = None,
         sensor: IVSensor | None = None,
-        telemetry=None,
     ) -> None:
         self.array = array
         self.converter = converter
@@ -105,7 +104,6 @@ class SolarCoreController:
         self.tuner = tuner
         self.config = config or SolarCoreConfig()
         self.sensor = sensor or IVSensor()
-        self.telemetry = telemetry
         #: Optional :class:`~repro.power.surface.OperatingSurfaces` set by
         #: the engine in table-solver mode; None keeps the exact solvers.
         self.surfaces = None
@@ -121,12 +119,6 @@ class SolarCoreController:
         self._last_good: SensorReading | None = None
         self._last_good_minute: float = -math.inf
         self.degraded: bool = False
-
-    @property
-    def _tel(self):
-        return (
-            self.telemetry if self.telemetry is not None else telemetry_hub.current()
-        )
 
     # -- counted load-tuning moves -------------------------------------
     def _raise_load(self, minute: float) -> bool:
@@ -175,13 +167,13 @@ class SolarCoreController:
                 self._last_good is not None
                 and minute - self._last_good_minute <= self.config.sensor_staleness_min
             ):
-                tel = self._tel
+                tel = telemetry_hub.current()
                 if tel.enabled:
                     tel.count("controller.stale_reads")
                 return self._last_good
             raise _SensorStale() from None
         if self.degraded:
-            tel = self._tel
+            tel = telemetry_hub.current()
             if tel.enabled:
                 tel.count("controller.recoveries")
                 tel.emit(
@@ -241,7 +233,7 @@ class SolarCoreController:
         # branch even when demand exceeds what the panel can give.
         target_power = min(chip_demand, 0.98 * mpp.power)
 
-        tel = self._tel
+        tel = telemetry_hub.current()
         if tel.enabled:
             tel.count("controller.align_solves")
         v_right = None
@@ -315,7 +307,7 @@ class SolarCoreController:
         if irradiance <= 0.0:
             return TrackingResult(0, 0.0, 0.0, 0.0, self.converter.k, False)
 
-        tel = self._tel
+        tel = telemetry_hub.current()
         self._raises = 0
         self._sheds = 0
         with tel.span("controller.track"):
@@ -468,7 +460,7 @@ class SolarCoreController:
         telemetry), but no perturb-and-observe step runs — the knobs stay
         parked until readings return.
         """
-        tel = self._tel
+        tel = telemetry_hub.current()
         floor = self.chip.floor_power_at(minute, with_gating=cfg.enable_pcpg)
         last_power = self._last_good.power if self._last_good is not None else 0.0
         budget = max(cfg.degraded_budget_fraction * last_power, floor)

@@ -68,7 +68,6 @@ class StepContext:
         cell_temp: PV cell temperature [C] (NOCT model).
         mpp: Panel maximum-power operating point at this step.
         dt: Step length [minutes].
-        telemetry: The run's telemetry hub (null hub when disabled).
     """
 
     index: int
@@ -78,7 +77,6 @@ class StepContext:
     cell_temp: float
     mpp: object
     dt: float
-    telemetry: object
 
 
 @dataclass
@@ -141,7 +139,8 @@ class SupplyPolicy:
     A policy owns the load model (chip / server / rack) and every control
     decision — tracking triggers, budget allocation, DVFS settings — while
     the :class:`DayEngine` owns the loop, the trace, the ATS, the ledger,
-    and shared telemetry.
+    and shared telemetry.  A policy that emits telemetry of its own reads
+    the process-wide hub (``repro.telemetry.current()``).
 
     Subclasses implement the per-step hooks below.  ATS-governed policies
     (``uses_ats = True``) provide :meth:`floor_power`; self-governed ones
@@ -222,7 +221,6 @@ class DayEngine:
         config: Simulation parameters.
         policy: The supply policy driving the load.
         recorder: The accumulator building the day's result.
-        telemetry: Telemetry hub (defaults to the process-wide hub).
         span_name: Span wrapping the run (None disables the span).
         span_attrs: Attributes attached to the span.
         faults: Optional :class:`~repro.faults.scheduler.FaultScheduler`
@@ -235,14 +233,11 @@ class DayEngine:
     config: SolarCoreConfig
     policy: SupplyPolicy
     recorder: SeriesRecorder
-    telemetry: object = None
     span_name: str | None = None
     span_attrs: dict = field(default_factory=dict)
     faults: object | None = None
 
     def __post_init__(self) -> None:
-        if self.telemetry is None:
-            self.telemetry = telemetry_hub.current()
         self.ats = (
             AutomaticTransferSwitch(self.config.ats_margin)
             if self.policy.uses_ats
@@ -277,11 +272,15 @@ class DayEngine:
                     controller.surfaces = self.surfaces
                 else:
                     controller.surfaces = get_surfaces(controller.array)
-            self.fastday_decline = fastday.decline_reason(self, self.telemetry)
+            self.fastday_decline = fastday.decline_reason(self)
 
     def run(self):
-        """Step the whole day; return the recorder's built result."""
-        tel = self.telemetry
+        """Step the whole day; return the recorder's built result.
+
+        The day reports to the process-wide telemetry hub; which hub that
+        is never changes the path the day takes or its result.
+        """
+        tel = telemetry_hub.current()
         if self.span_name is None:
             return self._run(tel)
         day = None
@@ -309,10 +308,10 @@ class DayEngine:
         dt = self.config.step_minutes
         on_solar_prev = False
         # Batched fast path: when the table solver is active and nothing
-        # requires per-step hooks (no fault injection, no event telemetry),
-        # supported policies can be evaluated as NumPy array programs over
-        # whole spans of minutes.  An enabled hub counts every table-mode
-        # day that keeps the scalar loop under ``fastday.declined.<reason>``.
+        # requires per-step hooks (no fault injection), supported policies
+        # can be evaluated as NumPy array programs over whole spans of
+        # minutes.  An enabled hub counts every table-mode day that keeps
+        # the scalar loop under ``fastday.declined.<reason>``.
         if self.config.solver == "table":
             if self.fastday_decline is None:
                 from repro.core import fastday
@@ -323,16 +322,12 @@ class DayEngine:
                 tel.count(f"fastday.declined.{self.fastday_decline}")
         # Per-phase profiling: `profiling` is hoisted once, so the default
         # path pays one local-bool check per phase site; a profiling hub
-        # books each step region into an exclusive `step.*` partition
+        # laps each step region into an exclusive `step.*` partition
         # phase (see repro.telemetry.timers).
         profiling = tel.profiling
-        if profiling:
-            clock, book = tel.timers.clock, tel.timers.add
-        t0 = t1 = t2 = t3 = t4 = 0.0
+        lap = tel.laps()
 
         for index in range(len(trace.minutes) - 1):
-            if profiling:
-                t0 = clock()
             minute = float(trace.minutes[index])
             irradiance = float(trace.irradiance[index])
             ambient = float(trace.ambient_c[index])
@@ -340,16 +335,14 @@ class DayEngine:
                 irradiance = self.faults.begin_step(minute, irradiance, tel)
             cell_temp = array.cell_temperature_from_ambient(irradiance, ambient)
             if profiling:
-                t1 = clock()
-                book("step.trace", t1 - t0)
+                lap("step.trace")
             mpp = (
                 surfaces.mpp(irradiance, cell_temp)
                 if surfaces is not None
                 else find_mpp(array, irradiance, cell_temp)
             )
             if profiling:
-                t2 = clock()
-                book("step.mpp_solve", t2 - t1)
+                lap("step.mpp_solve")
             ctx = StepContext(
                 index=index,
                 minute=minute,
@@ -358,7 +351,6 @@ class DayEngine:
                 cell_temp=cell_temp,
                 mpp=mpp,
                 dt=dt,
-                telemetry=tel,
             )
 
             if self.ats is not None:
@@ -378,8 +370,7 @@ class DayEngine:
             else:
                 on_solar = policy.solar_eligible(ctx)
             if profiling:
-                t3 = clock()
-                book("step.supply", t3 - t2)
+                lap("step.supply")
 
             if on_solar:
                 if not on_solar_prev:
@@ -388,12 +379,11 @@ class DayEngine:
             else:
                 sample = policy.utility_step(ctx)
             if profiling:
-                t4 = clock()
-                book("step.policy", t4 - t3)
+                lap("step.policy")
             recorder.record(ctx, on_solar, sample)
             self.ledger.book(on_solar, sample, dt)
             if profiling:
-                book("step.record", clock() - t4)
+                lap("step.record")
             on_solar_prev = on_solar
 
         return self._finish(tel)
@@ -403,11 +393,7 @@ class DayEngine:
         policy = self.policy
         recorder = self.recorder
         trace = self.trace
-        profiling = tel.profiling
-        t0 = 0.0
-        if profiling:
-            clock = tel.timers.clock
-            t0 = clock()
+        lap = tel.laps()
         if tel.enabled:
             tel.count("sim.days")
             tel.emit(
@@ -422,6 +408,5 @@ class DayEngine:
             )
             policy.final_telemetry(tel)
         result = recorder.build(self)
-        if profiling:
-            tel.timers.add("day.build", clock() - t0)
+        lap("day.build")
         return result

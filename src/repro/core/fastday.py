@@ -20,12 +20,14 @@ code paths), and evaluates every span in between as NumPy programs over
 arrays precomputed once per day (cell temperature, MPP power from the
 interpolation surface, per-core IPC, the ATS floor).
 
-The fast path runs only when nothing needs per-step hooks: table solver
-active, no fault injection, event telemetry disabled, and a policy /
-recorder pair this module knows how to batch.  Anything else keeps the
-engine's scalar loop — which in table mode is still surface-backed, just
-stepped per minute — and :func:`decline_reason` names why, so an enabled
-hub can count ``fastday.declined.<reason>``.
+The fast path runs whenever nothing needs per-step hooks: table solver
+active, no fault injection, and a policy / recorder pair this module knows
+how to batch.  The telemetry hub never picks the path: every event the
+scalar loop emits falls on an event step, supply switches included.
+Anything else keeps the engine's scalar loop — which in table mode is
+still surface-backed, just stepped per minute — and :func:`decline_reason`
+names why, so an enabled hub can count ``fastday.declined.<reason>``.
+A profiling hub gets the day's own ``day.*``/``step.*`` phases.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from repro.core.engine import SeriesRecorder, StepContext
 from repro.power.psu import PowerSource
+from repro.telemetry.events import SupplySwitchEvent
 
 __all__ = ["decline_reason", "run_fast", "supports"]
 
@@ -64,14 +67,11 @@ def supports(engine) -> str | None:
     return None
 
 
-def decline_reason(engine, tel) -> str | None:
+def decline_reason(engine) -> str | None:
     """Why a table-mode day keeps the scalar loop, or None if it can batch.
 
-    ``surfaces`` (the device has no interpolation surface), ``faults``,
-    ``policy`` (:func:`supports` rejects the policy/recorder pair), or
-    ``telemetry`` (event telemetry needs per-step hooks).  Telemetry is
-    checked last, so the reason names the decline that would remain with
-    telemetry off.
+    ``surfaces`` (the device has no interpolation surface), ``faults``, or
+    ``policy`` (:func:`supports` rejects the policy/recorder pair).
     """
     if engine.surfaces is None:
         return "surfaces"
@@ -79,8 +79,6 @@ def decline_reason(engine, tel) -> str | None:
         return "faults"
     if supports(engine) is None:
         return "policy"
-    if tel.enabled:
-        return "telemetry"
     return None
 
 
@@ -218,7 +216,7 @@ def _flush_span(
         ledger.load_wh += utility_wh
 
 
-def _run_stepped(engine, tel, arrays: _DayArrays, mode: str) -> None:
+def _run_stepped(engine, tel, arrays: _DayArrays, mode: str, lap) -> None:
     """The MPPT / fixed-budget day: event steps real, spans vectorized."""
     policy = engine.policy
     chip = policy.chip
@@ -235,6 +233,7 @@ def _run_stepped(engine, tel, arrays: _DayArrays, mode: str) -> None:
     floor = _floor_array(chip, ipc, cfg.enable_pcpg)
     if mode == "fixed":
         solar_mask = (arrays.pmpp >= policy.budget_w) & (policy.budget_w >= floor)
+    lap("day.chip_arrays")
 
     on_solar_prev = False
     pending_start = 0
@@ -258,9 +257,11 @@ def _run_stepped(engine, tel, arrays: _DayArrays, mode: str) -> None:
                 else on_solar_prev or index == 0
             )
         if event:
+            lap("step.scan")
             _flush_span(
                 engine, arrays, ipc, pending_start, index, pending_solar, budget_w
             )
+            lap("step.spans")
             ctx = StepContext(
                 index=index,
                 minute=minute,
@@ -269,8 +270,18 @@ def _run_stepped(engine, tel, arrays: _DayArrays, mode: str) -> None:
                 cell_temp=float(arrays.tcell[index]),
                 mpp=surfaces.mpp(float(arrays.irr[index]), float(arrays.tcell[index])),
                 dt=dt,
-                telemetry=tel,
             )
+            if mode == "mppt" and on_solar is not on_solar_prev and tel.enabled:
+                # The engine's own event, where its scalar loop emits it.
+                tel.count("sim.supply_switches")
+                tel.emit(
+                    SupplySwitchEvent(
+                        minute=minute,
+                        source=source.value,
+                        available_solar_w=ctx.mpp.power,
+                        load_floor_w=float(floor[index]),
+                    )
+                )
             if on_solar:
                 if not on_solar_prev:
                     policy.enter_solar(ctx)
@@ -280,15 +291,18 @@ def _run_stepped(engine, tel, arrays: _DayArrays, mode: str) -> None:
             recorder.record(ctx, on_solar, sample)
             ledger.book(on_solar, sample, dt)
             pending_start = index + 1
+            lap("step.events")
         else:
             if index == pending_start:
                 pending_solar = on_solar
             if on_solar and predictor is not None:
                 predictor.observe(minute, pmpp)
         on_solar_prev = on_solar
+    lap("step.scan")
     _flush_span(
         engine, arrays, ipc, pending_start, arrays.n, pending_solar, budget_w
     )
+    lap("step.spans")
 
 
 def run_fast(engine, tel) -> bool:
@@ -297,19 +311,23 @@ def run_fast(engine, tel) -> bool:
     On ``True`` the recorder, the energy ledger, and the policy/chip state
     are exactly as if the scalar loop had stepped the day (modulo the
     table solver's documented error bound and floating-point summation
-    order); the engine's shared end-of-day bookkeeping still runs in
+    order), and ``tel`` has seen the same events and counters; the
+    engine's shared end-of-day bookkeeping still runs in
     :meth:`DayEngine._finish`.
     """
     mode = supports(engine)
     if mode is None:
         return False
+    lap = tel.laps()
     arrays = _DayArrays(engine)
+    lap("day.mpp_arrays")
     if mode == "battery":
         # The harvest loop integrates MPP power and records nothing; the
         # spend phase runs in BatteryPolicy.finalize via recorder.build.
         engine.policy.harvested_wh += (
             float(arrays.pmpp.sum()) * engine.config.step_minutes / 60.0
         )
+        lap("step.spans")
     else:
-        _run_stepped(engine, tel, arrays, mode)
+        _run_stepped(engine, tel, arrays, mode, lap)
     return True

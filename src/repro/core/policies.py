@@ -25,6 +25,7 @@ from repro.multicore.dvfs import DVFSTable
 from repro.power.converter import DCDCConverter
 from repro.power.sensors import IVSensor
 from repro.pv.array import PVArray
+from repro.telemetry import hub as telemetry_hub
 from repro.telemetry.events import (
     BatteryEvent,
     DVFSAllocationEvent,
@@ -73,12 +74,10 @@ class MPPTPolicy(SupplyPolicy):
         array: PVArray,
         dvfs_table: DVFSTable | None = None,
         sensor: IVSensor | None = None,
-        telemetry=None,
         converter: DCDCConverter | None = None,
     ) -> None:
         self.workload = workload
         self.cfg = cfg
-        self.tel = telemetry
         if dvfs_table is not None:
             self.chip = MultiCoreChip(workload, table=dvfs_table)
         else:
@@ -87,8 +86,7 @@ class MPPTPolicy(SupplyPolicy):
         self.converter = converter or DCDCConverter()
         self.tuner = make_tuner(policy, allow_gating=cfg.enable_pcpg)
         self.controller = SolarCoreController(
-            array, self.converter, self.chip, self.tuner, cfg, sensor,
-            telemetry=telemetry,
+            array, self.converter, self.chip, self.tuner, cfg, sensor
         )
         self.predictor = SupplyPredictor() if cfg.adaptive_margin else None
         self.name = self.tuner.name
@@ -133,7 +131,6 @@ class MPPTPolicy(SupplyPolicy):
     def solar_step(self, ctx: StepContext) -> StepSample:
         cfg = self.cfg
         chip = self.chip
-        tel = self.tel
         minute = ctx.minute
         mpp = ctx.mpp
         if self.predictor is not None:
@@ -150,6 +147,7 @@ class MPPTPolicy(SupplyPolicy):
                     ceiling=cfg.power_margin,
                 )
             result = self.controller.track(ctx.irradiance, ctx.cell_temp, minute)
+            tel = telemetry_hub.current()
             if cfg.realloc_after_track and not result.load_saturated:
                 # Ref [15]-style global reallocation under the budget
                 # the tracking event just discovered.
@@ -229,12 +227,10 @@ class FixedBudgetPolicy(SupplyPolicy):
         workload: WorkloadMix,
         budget_w: float,
         cfg: SolarCoreConfig,
-        telemetry=None,
     ) -> None:
         self.workload = workload
         self.budget_w = budget_w
         self.cfg = cfg
-        self.tel = telemetry
         self.chip = MultiCoreChip(workload, spec=cfg.chip_spec)
         self.name = f"Fixed-{budget_w:.0f}W"
         self.tracking_events = 0
@@ -257,13 +253,13 @@ class FixedBudgetPolicy(SupplyPolicy):
     def solar_step(self, ctx: StepContext) -> StepSample:
         cfg = self.cfg
         chip = self.chip
-        tel = self.tel
         minute = ctx.minute
         if self.alloc_due(minute):
             allocate_budget(
                 chip, self.budget_w, minute, allow_gating=cfg.enable_pcpg
             )
             self._last_alloc_minute = minute
+            tel = telemetry_hub.current()
             if tel.enabled:
                 tel.count("sim.budget_allocations")
                 tel.emit(
@@ -316,14 +312,12 @@ class BatteryPolicy(SupplyPolicy):
         month: int,
         derating: float,
         cfg: SolarCoreConfig,
-        telemetry=None,
     ) -> None:
         self.workload = workload
         self.location = location
         self.month = month
         self.derating = derating
         self.cfg = cfg
-        self.tel = telemetry
         self.name = "Battery"
         self.harvested_wh = 0.0
         self.spent_wh = 0.0
@@ -342,7 +336,7 @@ class BatteryPolicy(SupplyPolicy):
 
     def finalize(self, engine: DayEngine) -> BatteryDayResult:
         """De-rate the harvest, spend it at full speed, build the result."""
-        tel = self.tel
+        tel = telemetry_hub.current()
         trace = engine.trace
         dt = self.cfg.step_minutes
         self.harvested_wh *= self.derating

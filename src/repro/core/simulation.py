@@ -36,7 +36,6 @@ from repro.faults import FaultSchedule, build_fault_kit
 from repro.multicore.dvfs import DVFSTable
 from repro.power.sensors import IVSensor
 from repro.pv.array import PVArray
-from repro.telemetry import hub as telemetry_hub
 from repro.workloads.mixes import WorkloadMix, resolve_mix
 
 __all__ = [
@@ -64,11 +63,9 @@ def mppt_day_engine(
     seed: int | None = None,
     dvfs_table: DVFSTable | None = None,
     sensor: IVSensor | None = None,
-    telemetry=None,
     faults: FaultSchedule | str | None = None,
 ) -> DayEngine:
     """The configured :class:`DayEngine` behind :func:`run_day`."""
-    tel = telemetry if telemetry is not None else telemetry_hub.current()
     cfg = config or SolarCoreConfig()
     workload = resolve_mix(workload)
     array = array or PVArray()
@@ -84,8 +81,7 @@ def mppt_day_engine(
         converter = kit.make_converter()
     supply = MPPTPolicy(
         workload, policy, cfg, array,
-        dvfs_table=dvfs_table, sensor=sensor, telemetry=tel,
-        converter=converter,
+        dvfs_table=dvfs_table, sensor=sensor, converter=converter,
     )
     return DayEngine(
         array=array,
@@ -93,7 +89,6 @@ def mppt_day_engine(
         config=cfg,
         policy=supply,
         recorder=DayResultRecorder(workload, location, month),
-        telemetry=tel,
         span_name="run_day",
         span_attrs=dict(
             mix=workload.name, location=location.code, month=month, policy=policy
@@ -113,7 +108,6 @@ def run_day(
     seed: int | None = None,
     dvfs_table: DVFSTable | None = None,
     sensor: IVSensor | None = None,
-    telemetry=None,
     faults: FaultSchedule | str | None = None,
 ) -> DayResult:
     """Simulate one day under a SolarCore MPPT policy.
@@ -133,7 +127,6 @@ def run_day(
             the granularity ablation passes refined tables).
         sensor: Front-end I/V sensor model (ideal by default; the
             robustness study injects noise/quantization here).
-        telemetry: Telemetry hub override (default: the process-wide hub).
         faults: Optional fault schedule (spec string or
             :class:`~repro.faults.schedule.FaultSchedule`) injecting timed
             sensor/PV/converter/supply/trace faults; None or an empty
@@ -144,7 +137,7 @@ def run_day(
     """
     engine = mppt_day_engine(
         workload, location, month, policy, config, array, trace, seed,
-        dvfs_table, sensor, telemetry, faults,
+        dvfs_table, sensor, faults,
     )
     day = engine.run()
     log.debug(
@@ -164,11 +157,9 @@ def fixed_day_engine(
     array: PVArray | None = None,
     trace: EnvironmentTrace | None = None,
     seed: int | None = None,
-    telemetry=None,
     faults: FaultSchedule | str | None = None,
 ) -> DayEngine:
     """The configured :class:`DayEngine` behind :func:`run_day_fixed`."""
-    tel = telemetry if telemetry is not None else telemetry_hub.current()
     cfg = config or SolarCoreConfig()
     workload = resolve_mix(workload)
     array = array or PVArray()
@@ -179,14 +170,13 @@ def fixed_day_engine(
         # The baseline has no sensor/converter in the loop; only array-
         # and trace-level faults (plus engine-applied ones) can bite.
         array = kit.wrap_array(array)
-    supply = FixedBudgetPolicy(workload, budget_w, cfg, telemetry=tel)
+    supply = FixedBudgetPolicy(workload, budget_w, cfg)
     return DayEngine(
         array=array,
         trace=trace,
         config=cfg,
         policy=supply,
         recorder=DayResultRecorder(workload, location, month),
-        telemetry=tel,
         span_name="run_day_fixed",
         span_attrs=dict(
             mix=workload.name, location=location.code, month=month,
@@ -205,7 +195,6 @@ def run_day_fixed(
     array: PVArray | None = None,
     trace: EnvironmentTrace | None = None,
     seed: int | None = None,
-    telemetry=None,
     faults: FaultSchedule | str | None = None,
 ) -> DayResult:
     """Simulate one day under the Fixed-Power baseline.
@@ -219,7 +208,7 @@ def run_day_fixed(
     """
     engine = fixed_day_engine(
         workload, location, month, budget_w, config, array, trace, seed,
-        telemetry, faults,
+        faults,
     )
     return engine.run()
 
@@ -233,13 +222,11 @@ def battery_day_engine(
     array: PVArray | None = None,
     trace: EnvironmentTrace | None = None,
     seed: int | None = None,
-    telemetry=None,
     faults: FaultSchedule | str | None = None,
 ) -> DayEngine:
     """The configured :class:`DayEngine` behind :func:`run_day_battery`."""
     if not 0.0 < derating <= 1.0:
         raise ValueError(f"derating must be in (0, 1], got {derating}")
-    tel = telemetry if telemetry is not None else telemetry_hub.current()
     cfg = config or SolarCoreConfig()
     workload = resolve_mix(workload)
     array = array or PVArray()
@@ -248,14 +235,13 @@ def battery_day_engine(
     kit = build_fault_kit(faults)
     if kit is not None:
         array = kit.wrap_array(array)
-    supply = BatteryPolicy(workload, location, month, derating, cfg, telemetry=tel)
+    supply = BatteryPolicy(workload, location, month, derating, cfg)
     return DayEngine(
         array=array,
         trace=trace,
         config=cfg,
         policy=supply,
         recorder=BatteryRecorder(),
-        telemetry=tel,
         span_name="run_day_battery",
         span_attrs=dict(
             mix=workload.name, location=location.code, month=month,
@@ -274,7 +260,6 @@ def run_day_battery(
     array: PVArray | None = None,
     trace: EnvironmentTrace | None = None,
     seed: int | None = None,
-    telemetry=None,
     faults: FaultSchedule | str | None = None,
 ) -> BatteryDayResult:
     """Simulate one day on the battery-equipped MPPT baseline.
@@ -290,6 +275,6 @@ def run_day_battery(
     """
     engine = battery_day_engine(
         workload, location, month, derating, config, array, trace, seed,
-        telemetry, faults,
+        faults,
     )
     return engine.run()

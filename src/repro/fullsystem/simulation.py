@@ -37,7 +37,6 @@ from repro.fullsystem.system import FullSystemLoad, SystemTuner
 from repro.multicore.chip import MultiCoreChip
 from repro.power.converter import DCDCConverter
 from repro.pv.array import PVArray
-from repro.telemetry import hub as telemetry_hub
 from repro.workloads.mixes import WorkloadMix, resolve_mix
 
 __all__ = [
@@ -240,7 +239,6 @@ def fullsystem_day_engine(
         config=cfg,
         policy=supply,
         recorder=FullSystemRecorder(workload, location, month),
-        telemetry=telemetry_hub.current(),
         span_name="run_day_fullsystem",
         span_attrs=dict(mix=workload.name, location=location.code, month=month),
         faults=kit.scheduler if kit is not None else None,

@@ -30,7 +30,8 @@ from scipy.optimize import brentq
 from repro.environment.locations import ALL_LOCATIONS, EVALUATED_MONTHS
 from repro.harness.parallel import SweepTask, grid_tasks
 from repro.harness.runner import SimulationRunner, default_runner
-from repro.metrics.utilization import DURATION_BUCKETS
+from repro.metrics.ptp import normalized_ptp
+from repro.metrics.utilization import DURATION_BUCKETS, bucket_by_duration
 from repro.pv.array import PVArray
 from repro.pv.cell import PVCell
 from repro.pv.curves import IVCurve, sample_iv_curve
@@ -413,25 +414,22 @@ def fig20_utilization_vs_duration(
 ) -> dict[tuple[float, float], dict[str, float]]:
     """Mean utilization per effective-duration bucket x policy (Figure 20)."""
     runner = runner or default_runner
-    sums: dict[tuple[float, float], dict[str, list[float]]] = {
-        bucket: {policy: [] for policy in POLICIES} for bucket in DURATION_BUCKETS
-    }
+    days: dict[str, list] = {policy: [] for policy in POLICIES}
     for location in locations:
         for month in months:
             for mix_name in mixes:
                 for policy in POLICIES:
-                    day = runner.day(mix_name, location.code, month, policy)
-                    duration = day.effective_duration_fraction
-                    for low, high in DURATION_BUCKETS:
-                        if low <= duration < high:
-                            sums[(low, high)][policy].append(day.energy_utilization)
-                            break
+                    days[policy].append(
+                        runner.day(mix_name, location.code, month, policy)
+                    )
+    buckets = {policy: bucket_by_duration(days[policy]) for policy in POLICIES}
     return {
         bucket: {
-            policy: float(np.mean(vals)) if vals else float("nan")
-            for policy, vals in per_policy.items()
+            policy: float(np.mean([day.energy_utilization for day in in_bucket]))
+            if (in_bucket := buckets[policy][bucket]) else float("nan")
+            for policy in POLICIES
         }
-        for bucket, per_policy in sums.items()
+        for bucket in DURATION_BUCKETS
     }
 
 
@@ -454,19 +452,15 @@ def fig21_normalized_ptp(
     for location in locations:
         for month in months:
             for mix_name in mixes:
-                baseline = runner.battery_day(
-                    mix_name, location.code, month, BATTERY_BOUNDS["Battery-L"]
-                ).ptp
-                row = {}
-                for policy in POLICIES:
-                    day = runner.day(mix_name, location.code, month, policy)
-                    row[policy] = day.ptp / baseline
-                row["Battery-U"] = (
-                    runner.battery_day(
-                        mix_name, location.code, month, BATTERY_BOUNDS["Battery-U"]
-                    ).ptp
-                    / baseline
+                days = {
+                    policy: runner.day(mix_name, location.code, month, policy)
+                    for policy in POLICIES
+                }
+                for battery in ("Battery-U", "Battery-L"):
+                    days[battery] = runner.battery_day(
+                        mix_name, location.code, month, BATTERY_BOUNDS[battery]
+                    )
+                out[(location.code, month, mix_name)] = normalized_ptp(
+                    days, "Battery-L"
                 )
-                row["Battery-L"] = 1.0
-                out[(location.code, month, mix_name)] = row
     return out

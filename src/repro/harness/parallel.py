@@ -40,7 +40,6 @@ import os
 import pickle
 import random
 import socket
-import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -49,6 +48,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
+from repro.atomicio import write_atomic
 from repro.core.config import SolarCoreConfig
 from repro.core.simulation import (
     BatteryDayResult,
@@ -509,21 +509,7 @@ class DiskResultCache:
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError as exc:
-                log.warning(
-                    "could not clean up cache temp file %s: %s", tmp, exc
-                )
-            raise
+        write_atomic(path, payload)
         tel = telemetry_hub.current()
         if tel.enabled:
             tel.count("cache.disk_stores")
@@ -587,19 +573,7 @@ class DiskResultCache:
             else:
                 return None
             log.warning("cache lease %s is stale (%s); taking over", path.name, why)
-            claim_fd, claim = tempfile.mkstemp(dir=self.root, suffix=".lease-claim")
-            try:
-                with os.fdopen(claim_fd, "wb") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(claim, path)
-            except BaseException:
-                try:
-                    os.unlink(claim)
-                except OSError:
-                    pass
-                raise
+            write_atomic(path, payload, suffix=".lease-claim")
             lease = CacheLease(path=path, token=token)
             return lease if lease.owned() else None
         with os.fdopen(fd, "wb") as handle:

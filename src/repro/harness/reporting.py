@@ -12,7 +12,6 @@ __all__ = [
     "render_table7",
     "render_fig18",
     "render_fig21_summary",
-    "render_telemetry_summary",
     "sparkline",
 ]
 
@@ -95,25 +94,6 @@ def render_fig18(
         rows.append([site] + [f"{means[p]:.1%}" for p in policies])
     bounds = ", ".join(f"{k}={v:.0%}" for k, v in battery_bounds.items())
     return format_table(headers, rows) + f"\n(battery bounds: {bounds})"
-
-
-def render_telemetry_summary(telemetry=None) -> str:
-    """Render the (current) telemetry hub's counters and timers.
-
-    The reporting-side hook for observability: benchmark scripts that
-    already import :mod:`repro.harness.reporting` can print where a
-    figure's simulation time went without importing the telemetry package
-    directly.
-
-    Args:
-        telemetry: Hub to render (default: the process-wide hub).
-
-    Returns:
-        ASCII tables, or an empty string when telemetry is disabled.
-    """
-    from repro.telemetry import current, render_summary
-
-    return render_summary(telemetry if telemetry is not None else current())
 
 
 def render_fig21_summary(

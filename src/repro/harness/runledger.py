@@ -26,10 +26,10 @@ from __future__ import annotations
 import json
 import os
 import platform
-import tempfile
 import time
 from pathlib import Path
 
+from repro.atomicio import write_atomic
 from repro.telemetry import hub as telemetry_hub
 from repro.telemetry.summary import WORK_COUNTER_PREFIXES
 
@@ -194,21 +194,7 @@ class RunLedger:
         run_id = self._unique_run_id(manifest.get("command", "run"))
         manifest = dict(manifest, run_id=run_id)
         payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        path = self.root / f"{run_id}.json"
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_atomic(self.root / f"{run_id}.json", payload)
 
     def run_ids(self) -> list[str]:
         """Recorded run ids, oldest first."""

@@ -1,32 +1,21 @@
-"""Evaluation metrics: PTP, energy utilization, tracking accuracy, carbon."""
+"""Evaluation metrics: PTP, energy utilization, carbon.
+
+Per-day figures (PTP, utilization, tracking error) are properties of the
+day results in :mod:`repro.core.results`; this package aggregates them
+across days the way the paper's figures do.
+"""
 
 from repro.metrics.carbon import (
     GRID_INTENSITY_KG_PER_KWH,
     CarbonReport,
     carbon_report,
 )
-from repro.metrics.ptp import geometric_mean, normalized_ptp, ptp_of
-from repro.metrics.tracking import (
-    relative_tracking_error,
-    summarize_errors,
-    tracking_error_table,
-)
-from repro.metrics.utilization import (
-    DURATION_BUCKETS,
-    bucket_by_duration,
-    mean_effective_duration,
-    mean_utilization,
-)
+from repro.metrics.ptp import geometric_mean, normalized_ptp
+from repro.metrics.utilization import DURATION_BUCKETS, bucket_by_duration
 
 __all__ = [
-    "ptp_of",
     "normalized_ptp",
     "geometric_mean",
-    "relative_tracking_error",
-    "tracking_error_table",
-    "summarize_errors",
-    "mean_utilization",
-    "mean_effective_duration",
     "bucket_by_duration",
     "DURATION_BUCKETS",
     "CarbonReport",

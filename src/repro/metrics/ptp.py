@@ -14,12 +14,7 @@ import numpy as np
 
 from repro.core.simulation import BatteryDayResult, DayResult
 
-__all__ = ["ptp_of", "normalized_ptp", "geometric_mean"]
-
-
-def ptp_of(result: DayResult | BatteryDayResult) -> float:
-    """The performance-time product of a day result [Ginst/day]."""
-    return result.ptp
+__all__ = ["normalized_ptp", "geometric_mean"]
 
 
 def normalized_ptp(
@@ -39,10 +34,10 @@ def normalized_ptp(
         raise KeyError(
             f"baseline {baseline!r} not among results: {sorted(results)}"
         )
-    base = ptp_of(results[baseline])
+    base = results[baseline].ptp
     if base <= 0.0:
         raise ValueError(f"baseline {baseline!r} has non-positive PTP {base}")
-    return {name: ptp_of(r) / base for name, r in results.items()}
+    return {name: r.ptp / base for name, r in results.items()}
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -1,53 +1,20 @@
 """Solar-energy utilization metrics (paper Section 6.3, Figures 18-20).
 
 Utilization is *actual total solar energy consumed / theoretical maximum
-solar energy supply* over the daytime window.  The helpers aggregate per-day
-results across months and bucket them by effective operation duration the
-way Figure 20 does.
+solar energy supply* over the daytime window (``DayResult.energy_utilization``).
+Figure 20 buckets day results by effective operation duration.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-import numpy as np
-
 from repro.core.simulation import DayResult
 
-__all__ = [
-    "mean_utilization",
-    "mean_effective_duration",
-    "bucket_by_duration",
-    "DURATION_BUCKETS",
-]
+__all__ = ["bucket_by_duration", "DURATION_BUCKETS"]
 
 #: Figure 20's effective-duration buckets (% of daytime), high to low.
 DURATION_BUCKETS = ((0.9, 1.01), (0.8, 0.9), (0.7, 0.8), (0.6, 0.7), (0.5, 0.6))
-
-
-def mean_utilization(results: Iterable[DayResult]) -> float:
-    """Energy-weighted mean utilization across day results.
-
-    Weighted by each day's available solar energy, so a cloudless day counts
-    for more than an overcast one — the same convention as summing energies
-    across the whole evaluation period.
-    """
-    results = list(results)
-    if not results:
-        raise ValueError("no results to aggregate")
-    used = sum(r.solar_used_wh for r in results)
-    available = sum(r.solar_available_wh for r in results)
-    if available <= 0.0:
-        return 0.0
-    return used / available
-
-
-def mean_effective_duration(results: Iterable[DayResult]) -> float:
-    """Unweighted mean effective operation duration fraction."""
-    results = list(results)
-    if not results:
-        raise ValueError("no results to aggregate")
-    return float(np.mean([r.effective_duration_fraction for r in results]))
 
 
 def bucket_by_duration(

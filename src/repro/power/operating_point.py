@@ -119,12 +119,11 @@ def solve_operating_point(
         if tel.enabled:
             # full_output returns the identical root plus the iteration
             # count; only an enabled hub pays for the RootResults.
-            start = tel.timers.clock()
+            lap = tel.laps()
             root, info = brentq(
                 mismatch, 1e-9, voc, xtol=1e-9, rtol=1e-12, full_output=True
             )
-            if tel.profiling:
-                tel.timers.add("power.operating_point", tel.timers.clock() - start)
+            lap("power.operating_point")
             tel.count("power.brentq_calls")
             tel.count("power.brentq_iterations", info.iterations)
             v_pv = float(root)

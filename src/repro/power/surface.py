@@ -52,7 +52,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 import threading
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -61,6 +60,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq
 
+from repro.atomicio import write_atomic
 from repro.power.operating_point import OperatingPoint, solve_operating_point
 from repro.pv.mpp import MaxPowerPoint, find_mpp
 from repro.pv.vector import VectorizedDevice, device_scaling, lambertw_of_exp_array
@@ -795,18 +795,7 @@ class OperatingSurfaces:
             vnorm=self._vnorm,
             vright=self._vright,
         )
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(buffer.getvalue())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_atomic(path, buffer.getvalue())
 
     @classmethod
     def load(cls, device, spec: SurfaceSpec, directory: str | Path) -> "OperatingSurfaces | None":

@@ -32,7 +32,6 @@ from repro.environment.trace import EnvironmentTrace
 from repro.multicore.chip import MultiCoreChip
 from repro.pv.array import PVArray
 from repro.rack.coordinator import divide_budget
-from repro.telemetry import hub as telemetry_hub
 from repro.workloads.mixes import mix as mix_by_name
 
 __all__ = ["RackDayResult", "RackPolicy", "run_day_rack", "rack_day_engine"]
@@ -223,7 +222,6 @@ def rack_day_engine(
         config=cfg,
         policy=supply,
         recorder=RackRecorder(tuple(mix_names), location, month, policy),
-        telemetry=telemetry_hub.current(),
         span_name="run_day_rack",
         span_attrs=dict(
             chips=len(mix_names), location=location.code, month=month,

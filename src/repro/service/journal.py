@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.atomicio import write_atomic
 from repro.service.jobs import JOB_STATES, Job, JobSpec, JobSpecError
 
 __all__ = ["JournalCorruption", "ReplayReport", "JobJournal"]
@@ -263,20 +263,9 @@ class JobJournal:
                 for job in jobs
             ],
         }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix="snapshot-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.snapshot_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(
+            self.snapshot_path, json.dumps(doc, sort_keys=True), prefix="snapshot-"
+        )
         if self._fh is not None and not self._fh.closed:
             self._fh.close()
             self._fh = None

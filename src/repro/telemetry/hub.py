@@ -96,6 +96,11 @@ class Telemetry:
         """
         return self.timers.region(name, day if self.profiling else None)
 
+    def laps(self):
+        """A profile-phase stopwatch (:meth:`TimerTable.laps`); a no-op
+        unless the hub is profiling."""
+        return self.timers.laps() if self.profiling else _no_lap
+
     # -- cross-process aggregation --------------------------------------
     def merge_snapshot(self, data: dict) -> None:
         """Fold another hub's :meth:`snapshot` into this hub.
@@ -137,6 +142,10 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+def _no_lap(phase: str) -> None:
+    """The stopwatch of a hub that is not profiling."""
+
+
 class NullTelemetry:
     """The disabled hub: every operation is a no-op.
 
@@ -171,6 +180,9 @@ class NullTelemetry:
 
     def span(self, name: str, day: tuple | None = None) -> _NullSpan:
         return _NULL_SPAN
+
+    def laps(self):
+        return _no_lap
 
     def merge_snapshot(self, data: dict) -> None:
         return None

@@ -6,9 +6,10 @@ Every timed quantity of a hub lands here, one :class:`Timer` per name:
   Regions nest per thread, so a region's *self* time is its duration
   minus the time spent in regions opened inside it.
 * **phases** — durations a hot path measured with its own clock reads
-  and booked with :meth:`TimerTable.add` (the engine's per-step
-  ``--profile`` phases).  A phase is a leaf: it never reduces the self
-  time of the region around it.
+  and booked with :meth:`TimerTable.add`, usually through a
+  :meth:`TimerTable.laps` stopwatch (the engine's ``--profile`` phases).
+  A phase is a leaf: it never reduces the self time of the region around
+  it.
 
 Names follow one rule.  ``step.*`` and ``day.*`` phases form an
 **exclusive partition** of a day's wall-time: they never overlap, so
@@ -232,6 +233,24 @@ class TimerTable(dict):
     def add(self, name: str, seconds: float) -> None:
         """Book a phase of ``seconds`` the caller timed itself."""
         self._book(self._thread(), name, seconds, seconds)
+
+    def laps(self):
+        """A stopwatch started now: ``lap(phase)`` books the time since the
+        previous lap (or since this call) as one occurrence of ``phase``.
+
+        Consecutive laps cover the time between them without gaps or
+        overlap, which is what the ``step.*``/``day.*`` partition needs.
+        """
+        clock, add = self.clock, self.add
+        mark = clock()
+
+        def lap(phase: str) -> None:
+            nonlocal mark
+            now = clock()
+            add(phase, now - mark)
+            mark = now
+
+        return lap
 
     def _book(self, state: _ThreadState, name: str, seconds: float, self_s: float) -> None:
         with self._lock:

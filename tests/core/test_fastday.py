@@ -1,7 +1,18 @@
-"""Fastday declines: every table-mode day that keeps the scalar loop says why."""
+"""The table-mode day path: what the day is picks it, never the hub.
+
+Every table-mode day that keeps the scalar loop says why
+(``fastday.declined.<reason>``).  A day that batches runs the same path,
+returns the same bytes and emits the same events under the null hub, an
+enabled hub and a profiling hub; the scalar loop (forced by patching
+:func:`fastday.run_fast`) is the event reference.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
+import numpy as np
 import pytest
 
 from repro.core import fastday
@@ -9,11 +20,69 @@ from repro.core.config import SolarCoreConfig
 from repro.core.simulation import mppt_day_engine, run_day
 from repro.environment.locations import PHOENIX_AZ
 from repro.fullsystem.simulation import run_day_fullsystem
+from repro.harness.parallel import SweepTask, compute_task, run_parallel
 from repro.pv.shading import ShadedSeriesString
-from repro.telemetry import NULL_TELEMETRY, Telemetry, telemetry_session
+from repro.telemetry import NULL_TELEMETRY, RingBufferSink, Telemetry, telemetry_session
+from repro.telemetry.events import event_to_dict
 
 TABLE = SolarCoreConfig(step_minutes=10.0, solver="table")
 FAULTS = "sensor_dropout@600-660,seed=7"
+
+#: Minute-stepped table mode: long spans between the event steps.
+TABLE_1MIN = SolarCoreConfig(solver="table")
+
+#: A sunny and an overcast cell.
+CELLS = (("AZ", 7), ("TN", 1))
+
+#: The four batched day kinds, each as a sweep task.
+KINDS = {
+    "MPPT&IC": dict(kind="mppt", policy="MPPT&IC"),
+    "MPPT&Opt": dict(kind="mppt", policy="MPPT&Opt"),
+    "Fixed-75W": dict(kind="fixed", budget_w=75.0),
+    "Battery-L": dict(kind="battery", derating=0.81),
+}
+
+DAYS = [
+    pytest.param(kind, cell, id=f"{kind}-{cell[0]}{cell[1]}")
+    for kind in KINDS
+    for cell in CELLS
+]
+
+
+def task(kind: str, cell: tuple[str, int]) -> SweepTask:
+    return SweepTask(mix_name="HM2", location_code=cell[0], month=cell[1],
+                     **KINDS[kind])
+
+
+def run(kind: str, cell: tuple[str, int]):
+    """One minute-stepped table-mode day of ``kind`` at ``cell``."""
+    return compute_task(task(kind, cell), TABLE_1MIN)
+
+
+def assert_same_bytes(expected, actual) -> None:
+    """Arrays byte-identical (dtype, shape, bytes); scalars exactly equal."""
+    assert type(expected) is type(actual)
+    for field in dataclasses.fields(expected):
+        left, right = getattr(expected, field.name), getattr(actual, field.name)
+        if isinstance(left, np.ndarray):
+            assert (left.dtype, left.shape) == (right.dtype, right.shape), field.name
+            assert left.tobytes() == right.tobytes(), field.name
+        else:
+            assert left == right, field.name
+
+
+@pytest.fixture
+def fast_runs(monkeypatch) -> list[bool]:
+    """What every ``fastday.run_fast`` call of the test returned."""
+    ran = []
+    real = fastday.run_fast
+
+    def spy(engine, tel):
+        ran.append(real(engine, tel))
+        return ran[-1]
+
+    monkeypatch.setattr(fastday, "run_fast", spy)
+    return ran
 
 
 def declines(run) -> dict[str, float]:
@@ -28,10 +97,8 @@ def declines(run) -> dict[str, float]:
 
 
 class TestDeclineCounters:
-    def test_enabled_hub_declines_for_telemetry(self):
-        assert declines(lambda: run_day("HM2", PHOENIX_AZ, 7, config=TABLE)) == {
-            "telemetry": 1
-        }
+    def test_enabled_hub_books_no_decline(self):
+        assert declines(lambda: run_day("HM2", PHOENIX_AZ, 7, config=TABLE)) == {}
 
     def test_faults_named_before_telemetry(self):
         def run():
@@ -60,25 +127,107 @@ class TestDeclineCounters:
 
 
 class TestDeclineReason:
-    def test_null_hub_day_batches(self, monkeypatch):
+    def test_null_hub_day_batches(self, fast_runs):
         engine = mppt_day_engine("HM2", PHOENIX_AZ, 7, config=TABLE)
         assert engine.fastday_decline is None
-        assert fastday.decline_reason(engine, NULL_TELEMETRY) is None
-        ran = []
-        real = fastday.run_fast
-
-        def spy(engine, tel):
-            ran.append(real(engine, tel))
-            return ran[-1]
-
-        monkeypatch.setattr(fastday, "run_fast", spy)
+        assert fastday.decline_reason(engine) is None
         engine.run()
-        assert ran == [True]
+        assert fast_runs == [True]
 
-    @pytest.mark.parametrize("hub, reason", [
-        (NULL_TELEMETRY, None),
-        (Telemetry(), "telemetry"),
-    ])
-    def test_reason_follows_the_hub(self, hub, reason):
-        engine = mppt_day_engine("HM2", PHOENIX_AZ, 7, config=TABLE)
-        assert fastday.decline_reason(engine, hub) == reason
+    @pytest.mark.parametrize("hub", [
+        NULL_TELEMETRY, Telemetry(), Telemetry(profile=True),
+    ], ids=["null", "enabled", "profiling"])
+    def test_every_hub_batches(self, hub, fast_runs):
+        with telemetry_session(hub):
+            engine = mppt_day_engine("HM2", PHOENIX_AZ, 7, config=TABLE)
+            assert fastday.decline_reason(engine) is None
+            engine.run()
+        assert fast_runs == [True]
+
+
+class TestHubIndependence:
+    @pytest.mark.parametrize("kind, cell", DAYS)
+    def test_day_identical_under_every_hub(self, kind, cell):
+        plain = run(kind, cell)
+        for hub in (Telemetry(), Telemetry(profile=True)):
+            with telemetry_session(hub):
+                observed = run(kind, cell)
+            assert_same_bytes(plain, observed)
+
+    def test_parallel_sweep_identical_under_enabled_hub(self):
+        tasks = [task(kind, cell) for kind in KINDS for cell in CELLS]
+        plain = run_parallel(tasks, TABLE_1MIN, jobs=2)
+        with telemetry_session() as hub:
+            observed = run_parallel(tasks, TABLE_1MIN, jobs=2)
+        for spec in tasks:
+            assert_same_bytes(plain[spec], observed[spec])
+        counters = hub.snapshot()["counters"]
+        assert counters["sim.days"] == len(tasks)
+        assert not [name for name in counters if name.startswith("fastday.declined.")]
+
+
+@functools.cache
+def observed(kind: str, cell: tuple[str, int], batched: bool):
+    """``(events, snapshot)`` of one day under an enabled hub."""
+    sink = RingBufferSink(capacity=100_000)
+    with pytest.MonkeyPatch.context() as patch:
+        if not batched:
+            patch.setattr(fastday, "run_fast", lambda engine, tel: False)
+        with telemetry_session(sinks=[sink]) as hub:
+            run(kind, cell)
+    snap = hub.snapshot()
+    assert not [n for n in snap["counters"] if n.startswith("fastday.declined.")]
+    return [event_to_dict(event) for event in sink], snap
+
+
+class TestEventParity:
+    """The batched day against the scalar loop as the reference."""
+
+    @pytest.mark.parametrize("kind, cell", DAYS)
+    def test_same_events_in_same_order(self, kind, cell):
+        batched, _ = observed(kind, cell, True)
+        reference, _ = observed(kind, cell, False)
+        assert [e["type"] for e in batched] == [e["type"] for e in reference]
+        # Event minutes are trace steps, except the battery's depletion
+        # minute, which comes from the harvest summed in another order.
+        np.testing.assert_allclose(
+            [e["minute"] for e in batched], [e["minute"] for e in reference],
+            rtol=1e-12, atol=0.0,
+        )
+
+    @pytest.mark.parametrize("kind, cell", DAYS)
+    def test_same_sim_and_controller_counters(self, kind, cell):
+        _, batched = observed(kind, cell, True)
+        _, reference = observed(kind, cell, False)
+
+        def counters(snap):
+            return {
+                name: value for name, value in snap["counters"].items()
+                if name.startswith(("sim.", "controller."))
+            }
+
+        assert counters(batched) == counters(reference)
+        assert counters(batched)["sim.days"] == 1
+        assert (batched["histograms"].get("controller.track_iterations")
+                == reference["histograms"].get("controller.track_iterations"))
+
+    @pytest.mark.parametrize("kind, cell", DAYS)
+    def test_power_fields_agree(self, kind, cell):
+        batched, _ = observed(kind, cell, True)
+        reference, _ = observed(kind, cell, False)
+        switches = 0
+        for got, want in zip(batched, reference):
+            if got["type"] == "supply_switch":
+                switches += 1
+                assert got["source"] == want["source"]
+                for name in ("available_solar_w", "load_floor_w"):
+                    assert got[name] == pytest.approx(want[name], rel=1e-9)
+            elif got["type"] == "energy_balance":
+                for name in ("solar_wh", "utility_wh", "load_wh"):
+                    assert got[name] == pytest.approx(want[name], rel=1e-9)
+                # The residual is round-off: bound it by the day's load.
+                assert abs(got["residual_wh"] - want["residual_wh"]) <= (
+                    1e-9 * want["load_wh"]
+                )
+        if KINDS[kind]["kind"] == "mppt":
+            assert switches > 0

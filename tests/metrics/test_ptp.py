@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.simulation import DayResult
-from repro.metrics.ptp import geometric_mean, normalized_ptp, ptp_of
+from repro.metrics.ptp import geometric_mean, normalized_ptp
 
 
 def fake_day(ptp: float) -> DayResult:
@@ -56,6 +56,3 @@ class TestGeometricMean:
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
 
-
-def test_ptp_of_passthrough():
-    assert ptp_of(fake_day(42.0)) == 42.0

@@ -1,14 +1,9 @@
-"""Unit tests for tracking-error metrics."""
+"""Unit tests for the relative tracking error, ``DayResult.mean_tracking_error``."""
 
 import numpy as np
 import pytest
 
 from repro.core.simulation import DayResult
-from repro.metrics.tracking import (
-    relative_tracking_error,
-    summarize_errors,
-    tracking_error_table,
-)
 
 
 def fake_day(budget, actual, location="PFCI", month=1, mix_name="H1") -> DayResult:
@@ -34,41 +29,14 @@ def fake_day(budget, actual, location="PFCI", month=1, mix_name="H1") -> DayResu
 class TestRelativeError:
     def test_exact_tracking_zero_error(self):
         day = fake_day([100, 100], [100, 100])
-        assert relative_tracking_error(day) == 0.0
+        assert day.mean_tracking_error == 0.0
 
     def test_known_error(self):
         day = fake_day([100, 100], [90, 110])
-        assert relative_tracking_error(day) == pytest.approx(0.1)
+        assert day.mean_tracking_error == pytest.approx(0.1)
 
     def test_symmetric_in_sign(self):
         under = fake_day([100], [80])
         over = fake_day([100], [120])
-        assert relative_tracking_error(under) == relative_tracking_error(over)
+        assert under.mean_tracking_error == over.mean_tracking_error
 
-
-class TestErrorTable:
-    def test_keys(self):
-        days = [
-            fake_day([100], [90], "PFCI", 1, "H1"),
-            fake_day([100], [95], "BMS", 7, "L1"),
-        ]
-        table = tracking_error_table(days)
-        assert table[("PFCI", 1, "H1")] == pytest.approx(0.1)
-        assert table[("BMS", 7, "L1")] == pytest.approx(0.05)
-
-    def test_duplicate_raises(self):
-        days = [fake_day([100], [90]), fake_day([100], [95])]
-        with pytest.raises(ValueError, match="duplicate"):
-            tracking_error_table(days)
-
-
-class TestSummarize:
-    def test_summary(self):
-        summary = summarize_errors([0.1, 0.2, 0.3])
-        assert summary["mean"] == pytest.approx(0.2)
-        assert summary["min"] == pytest.approx(0.1)
-        assert summary["max"] == pytest.approx(0.3)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            summarize_errors([])

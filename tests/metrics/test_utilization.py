@@ -1,15 +1,9 @@
-"""Unit tests for utilization aggregation."""
+"""Unit tests for Figure 20's effective-duration buckets."""
 
 import numpy as np
-import pytest
 
 from repro.core.simulation import DayResult
-from repro.metrics.utilization import (
-    DURATION_BUCKETS,
-    bucket_by_duration,
-    mean_effective_duration,
-    mean_utilization,
-)
+from repro.metrics.utilization import DURATION_BUCKETS, bucket_by_duration
 
 
 def fake_day(mpp: float, consumed: float, solar_fraction: float = 1.0) -> DayResult:
@@ -29,28 +23,6 @@ def fake_day(mpp: float, consumed: float, solar_fraction: float = 1.0) -> DayRes
         retired_ginst_total=1.0,
         utility_wh=0.0,
     )
-
-
-class TestMeanUtilization:
-    def test_single_day(self):
-        day = fake_day(100.0, 85.0)
-        assert mean_utilization([day]) == pytest.approx(0.85)
-
-    def test_energy_weighted(self):
-        sunny = fake_day(200.0, 200.0)  # utilization 1.0, twice the energy
-        cloudy = fake_day(100.0, 40.0)  # utilization 0.4
-        # (2000 + 400) / (2000 + 1000) = 0.8
-        assert mean_utilization([sunny, cloudy]) == pytest.approx(0.8)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            mean_utilization([])
-
-
-class TestEffectiveDuration:
-    def test_mean(self):
-        days = [fake_day(100, 90, 0.5), fake_day(100, 90, 1.0)]
-        assert mean_effective_duration(days) == pytest.approx(0.75)
 
 
 class TestBuckets:

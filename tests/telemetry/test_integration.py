@@ -80,11 +80,11 @@ class TestRunDayTelemetry:
 
 
 class TestInjectedTelemetry:
-    def test_explicit_hub_bypasses_process_global(self):
+    def test_session_hub_sees_the_day_and_is_restored(self):
         sink = RingBufferSink()
-        hub = Telemetry(sinks=[sink])
-        day = run_day("HM2", PHOENIX_AZ, 7, config=CFG, telemetry=hub)
-        assert current() is NULL_TELEMETRY  # global never touched
+        with telemetry_session(Telemetry(sinks=[sink])):
+            day = run_day("HM2", PHOENIX_AZ, 7, config=CFG)
+        assert current() is NULL_TELEMETRY  # the previous hub is back
         assert len(sink.events("tracking")) == day.tracking_events
 
     def test_disabled_run_produces_identical_result(self):

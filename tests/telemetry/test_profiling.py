@@ -84,6 +84,22 @@ class TestPhaseProfiler:
         assert day.coverage == pytest.approx(0.3)
         assert table.coverage == pytest.approx(0.3)
 
+    def test_laps_cover_the_time_between_them(self):
+        clock = FakeClock()
+        hub = profiled_hub(clock)
+        clock.tick(5.0)  # before the stopwatch starts: not booked
+        lap = hub.laps()
+        for seconds, phase in ((0.5, "step.scan"), (0.25, "step.events"),
+                               (1.0, "step.scan")):
+            clock.tick(seconds)
+            lap(phase)
+        assert (hub.timers["step.scan"].count, hub.timers["step.scan"].total) == (2, 1.5)
+        assert hub.timers["step.events"].total == 0.25
+        # Without the profiler a lap books nothing.
+        for quiet in (Telemetry(), NULL_TELEMETRY):
+            quiet.laps()("step.scan")
+            assert quiet.snapshot()["timers"] == {}
+
     def test_phases_outside_day_still_accumulate_globally(self):
         table = TimerTable()
         table.add("step.policy", 1.0)
@@ -244,6 +260,21 @@ class TestDayIntegration:
         for name in ("step.mpp_solve", "step.supply", "step.policy",
                      "step.record"):
             assert table[name].count == steps
+
+    def test_profiled_table_day_runs_batched(self):
+        hub = profiled_hub()
+        with telemetry_session(hub):
+            run_day("HM2", location_by_code("AZ"), 7,
+                    config=SolarCoreConfig(solver="table"))
+        table = hub.timers
+        (day,) = table.days
+        assert table["run_day"].count == 1
+        # The batched day names its own phases, and they hold the exact
+        # path's 95% bar.
+        assert {"day.mpp_arrays", "day.chip_arrays", "step.scan",
+                "step.events", "step.spans", "day.build"} <= set(day.phases)
+        assert "step.mpp_solve" not in table
+        assert table.coverage >= 0.95
 
     def test_profiling_disabled_leaves_no_trace(self):
         hub = Telemetry()  # telemetry on, profiling off

@@ -1,6 +1,5 @@
 """Unit tests for the post-run telemetry summary rendering."""
 
-from repro.harness.reporting import render_telemetry_summary
 from repro.telemetry import NullTelemetry, Telemetry
 from repro.telemetry.summary import format_duration, render_summary
 
@@ -42,13 +41,3 @@ class TestRenderSummary:
     def test_empty_enabled_hub_renders_empty(self):
         assert render_summary(Telemetry()) == ""
 
-
-class TestReportingHook:
-    def test_uses_current_hub_by_default(self):
-        # The process-wide default is the null hub -> empty string.
-        assert render_telemetry_summary() == ""
-
-    def test_accepts_explicit_hub(self):
-        hub = Telemetry()
-        hub.count("x", 2)
-        assert "x" in render_telemetry_summary(hub)

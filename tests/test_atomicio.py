@@ -1,0 +1,31 @@
+"""Tests for the one atomic-write path (``repro.atomicio.write_atomic``)."""
+
+import os
+
+import pytest
+
+from repro.atomicio import write_atomic
+
+
+def test_replaces_the_file_with_bytes_or_utf8_text(tmp_path):
+    path = tmp_path / "entry.json"
+    path.write_bytes(b"old")
+    assert write_atomic(path, b"\x00new") == path
+    assert path.read_bytes() == b"\x00new"
+    write_atomic(path, "café\n")
+    assert path.read_bytes() == "café\n".encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.json"]
+
+
+def test_failed_replace_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "entry.json"
+    path.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(path, b"new", suffix=".lease-claim")
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.json"]

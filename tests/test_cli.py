@@ -159,6 +159,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--jobs", "2"])
 
+    @pytest.mark.parametrize("argv", [
+        "profile --repeat 0",
+        "experiment fig01 --jobs 0",
+        "experiment fig01 --jobs -3",
+        "experiment fig01 --retries -1",
+        "campaign --days 0",
+        "simulate --month 13",
+        "campaign --months 7 13",
+        "serve --max-workers 0",
+        "serve --max-queue -1",
+    ])
+    def test_out_of_range_number_is_a_usage_error(self, argv, capsys):
+        args = argv.split()
+        flag = next(arg for arg in args if arg.startswith("--"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
 
 class TestProfile:
     def test_profile_command_prints_phase_report(self, capsys):
@@ -196,8 +215,13 @@ class TestProfile:
         for name in ("controller.track", "run_day"):
             matches = [row for row in rows if row and row[0] == name]
             assert len(matches) == 1, (name, matches)
-        # The report says which day path ran and why.
-        assert "fastday.declined.telemetry" in out
+        # The observed table day batches: the report names fastday's
+        # phases and none of the per-minute loop's.
+        names = {row[0] for row in rows if row}
+        assert {"step.events", "step.spans", "step.scan",
+                "day.mpp_arrays"} <= names
+        assert "step.mpp_solve" not in names
+        assert "fastday.declined" not in out
 
     def test_hub_uninstalled_after_profile(self):
         from repro.telemetry import NULL_TELEMETRY, current
