@@ -29,6 +29,7 @@ from benchjson import write_bench_json
 from conftest import emit, sweep_jobs
 
 from repro.core.config import SolarCoreConfig
+from repro.core.dayenv import clear_environments
 from repro.harness.parallel import grid_tasks
 from repro.harness.runner import SimulationRunner
 
@@ -75,10 +76,14 @@ def test_parallel_speedup(out_dir):
             "wrote the label artifact and skipped"
         )
 
+    # Each sweep starts from an empty environment memo: the serial sweep
+    # would otherwise hand its solved cells to the forked pool workers.
+    clear_environments()
     start = time.perf_counter()
     serial = SimulationRunner(CFG).prefetch(MINI_GRID)
     serial_s = time.perf_counter() - start
 
+    clear_environments()
     start = time.perf_counter()
     parallel = SimulationRunner(CFG, jobs=jobs).prefetch(MINI_GRID)
     parallel_s = time.perf_counter() - start

@@ -23,6 +23,7 @@ from benchjson import write_bench_json
 from conftest import emit
 
 from repro.core.config import SolarCoreConfig
+from repro.core.dayenv import clear_environments
 from repro.core.simulation import run_day
 from repro.environment.locations import PHOENIX_AZ
 from repro.telemetry import RingBufferSink, Telemetry, telemetry_session
@@ -44,7 +45,12 @@ HUBS = {
 
 
 def _day_cpu_s(hub) -> float:
-    """Thread CPU time [s] of one day under a fresh ``hub()``."""
+    """Thread CPU time [s] of one day under a fresh ``hub()``.
+
+    The day starts from an empty environment memo, so every hub times the
+    day's whole solve, its MPP series included.
+    """
+    clear_environments()
     with telemetry_session(hub()) if hub is not None else contextlib.nullcontext():
         start = time.thread_time()
         run_day("HM2", PHOENIX_AZ, 7, config=CFG)

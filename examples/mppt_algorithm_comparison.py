@@ -30,8 +30,8 @@ def solarcore_run(array: PVArray) -> tuple[float, float]:
     )
     drawn, available, throughput = 0.0, 0.0, 0.0
     for irradiance, temp in PROFILE:
-        result = controller.track(irradiance, temp, minute=0.0)
         mpp = find_mpp(array, irradiance, temp)
+        result = controller.track(irradiance, temp, 0.0, mpp)
         drawn += min(chip.total_power_at(0.0), result.power_w, mpp.power)
         available += mpp.power
         throughput += chip.total_throughput_at(0.0)

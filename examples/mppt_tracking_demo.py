@@ -39,7 +39,7 @@ def main() -> None:
             f"-> panel MPP = {mpp.power:.1f} W at {mpp.voltage:.1f} V"
         )
         show("before tracking", controller, chip, converter, irradiance, cell_temp)
-        result = controller.track(irradiance, cell_temp, minute=0.0)
+        result = controller.track(irradiance, cell_temp, 0.0, mpp)
         show(
             f"after {result.iterations:2d} iterations",
             controller, chip, converter, irradiance, cell_temp,

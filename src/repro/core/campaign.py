@@ -10,7 +10,7 @@ seeded day each paper figure shows.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

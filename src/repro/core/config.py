@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.multicore.chip import NOMINAL_RAIL_V
 from repro.multicore.spec import ChipSpec

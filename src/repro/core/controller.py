@@ -33,7 +33,7 @@ from repro.power.converter import DCDCConverter
 from repro.power.operating_point import OperatingPoint, solve_operating_point
 from repro.power.sensors import IVSensor, SensorDropout, SensorReading
 from repro.pv.curves import PVDevice
-from repro.pv.mpp import find_mpp
+from repro.pv.mpp import MaxPowerPoint
 from repro.telemetry import hub as telemetry_hub
 from repro.telemetry.events import (
     DegradedModeEvent,
@@ -204,7 +204,11 @@ class SolarCoreController:
         )
 
     def _align_k_to_rail(
-        self, irradiance: float, cell_temp_c: float, minute: float
+        self,
+        irradiance: float,
+        cell_temp_c: float,
+        minute: float,
+        mpp: MaxPowerPoint,
     ) -> OperatingPoint:
         """Snap ``k`` (on its delta-k grid) so the rail sits near nominal.
 
@@ -222,11 +226,6 @@ class SolarCoreController:
         if chip_demand <= 0.0:
             return op
         surfaces = self.surfaces
-        mpp = (
-            surfaces.mpp(irradiance, cell_temp_c)
-            if surfaces is not None
-            else find_mpp(self.array, irradiance, cell_temp_c)
-        )
         if mpp.power <= 0.0:
             return op
         # Stay strictly right of the MPP so the equilibrium is on the stable
@@ -290,12 +289,24 @@ class SolarCoreController:
     # The tracking event
     # ------------------------------------------------------------------
     def track(
-        self, irradiance: float, cell_temp_c: float, minute: float
+        self,
+        irradiance: float,
+        cell_temp_c: float,
+        minute: float,
+        mpp: MaxPowerPoint,
     ) -> TrackingResult:
         """Run one three-step MPP tracking event (paper Figure 9).
 
         Environment is frozen for the duration of the event — tracking takes
         under 5 ms against a 10-minute period (paper Section 5).
+
+        Args:
+            irradiance: Plane-of-array irradiance [W/m^2].
+            cell_temp_c: Cell temperature [C].
+            minute: Sample time [minutes since midnight].
+            mpp: The panel's MPP at this step, as the caller solved it
+                (the engine's step environment); rail alignment anchors
+                on it instead of solving it again.
 
         Returns:
             A :class:`TrackingResult` describing the settled state.
@@ -313,7 +324,7 @@ class SolarCoreController:
         with tel.span("controller.track"):
             try:
                 result = self._track_event(
-                    irradiance, cell_temp_c, minute, cfg, margin
+                    irradiance, cell_temp_c, minute, mpp, cfg, margin
                 )
             except _SensorStale:
                 result = self._enter_degraded(irradiance, cell_temp_c, minute, cfg)
@@ -345,12 +356,13 @@ class SolarCoreController:
         irradiance: float,
         cell_temp_c: float,
         minute: float,
+        mpp: MaxPowerPoint,
         cfg: SolarCoreConfig,
         margin: float,
     ) -> TrackingResult:
         # Step 1: normalize the rail.  A coarse k alignment first keeps the
         # load knob within reach of the acceptance band at dawn/dusk.
-        self._align_k_to_rail(irradiance, cell_temp_c, minute)
+        self._align_k_to_rail(irradiance, cell_temp_c, minute, mpp)
         op = self._restore_rail(irradiance, cell_temp_c, minute)
 
         best_power = self._read(op, minute).power
@@ -404,7 +416,7 @@ class SolarCoreController:
             best_power = power
             if load_saturated:
                 # Chip absorbs everything it can; park the rail at nominal.
-                op = self._align_k_to_rail(irradiance, cell_temp_c, minute)
+                op = self._align_k_to_rail(irradiance, cell_temp_c, minute, mpp)
                 break
             if not raised_any:
                 # Neither knob moved the system: settled at the optimum.
@@ -413,7 +425,7 @@ class SolarCoreController:
         # Safety net: if the event ended with the rail far from nominal
         # (deep supply transient mid-event), re-anchor on the stable branch.
         if abs(self._read(op, minute).voltage - cfg.rail_voltage) > 3 * cfg.rail_tolerance_v:
-            op = self._align_k_to_rail(irradiance, cell_temp_c, minute)
+            op = self._align_k_to_rail(irradiance, cell_temp_c, minute, mpp)
             op = self._restore_rail(irradiance, cell_temp_c, minute)
 
         # Leave the stabilizing power margin below the discovered maximum

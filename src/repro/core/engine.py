@@ -2,11 +2,12 @@
 
 Every Section-6/8 figure in the paper is driven by the same minute-stepped
 day co-simulation — panel -> converter -> chip(s) -> controller.  This
-module owns that loop *once*: :class:`DayEngine` steps the environment
-trace, solves the panel operating point, runs the automatic-transfer-switch
-(ATS) bookkeeping, books energy into a conservation ledger, and emits the
-shared telemetry (supply-switch events, the end-of-day counters, and the
-span wrapping the run).
+module owns that loop *once*: :class:`DayEngine` steps the day's
+environment (the trace with its per-step cell temperature and MPP, solved
+once per cell by :mod:`repro.core.dayenv`), runs the
+automatic-transfer-switch (ATS) bookkeeping, books energy into a
+conservation ledger, and emits the shared telemetry (supply-switch events,
+the end-of-day counters, and the span wrapping the run).
 
 What differs between scenarios — how the load reacts to the available
 supply — is expressed as a :class:`SupplyPolicy` strategy:
@@ -37,14 +38,17 @@ DESIGN.md section 9 for a walkthrough.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.config import SolarCoreConfig
-from repro.environment.trace import EnvironmentTrace
 from repro.power.psu import AutomaticTransferSwitch, PowerSource
 from repro.pv.array import PVArray
 from repro.pv.mpp import find_mpp
 from repro.telemetry import hub as telemetry_hub
 from repro.telemetry.events import EnergyBalanceEvent, SupplySwitchEvent
+
+if TYPE_CHECKING:
+    from repro.core.dayenv import DayEnvironment
 
 __all__ = [
     "StepContext",
@@ -217,7 +221,8 @@ class DayEngine:
 
     Attributes:
         array: The PV array (panel or farm).
-        trace: The day's environment trace.
+        environment: The day's environment (see :mod:`repro.core.dayenv`),
+            solved when the day runs.
         config: Simulation parameters.
         policy: The supply policy driving the load.
         recorder: The accumulator building the day's result.
@@ -229,7 +234,7 @@ class DayEngine:
     """
 
     array: PVArray
-    trace: EnvironmentTrace
+    environment: DayEnvironment
     config: SolarCoreConfig
     policy: SupplyPolicy
     recorder: SeriesRecorder
@@ -253,10 +258,11 @@ class DayEngine:
             self.ats = FaultyATS(self.ats, self.faults)
         self.ledger = EnergyLedger()
         # Table-solver mode: resolve the interpolation surfaces for the
-        # engine's MPP queries and for the policy's controller (if any).
-        # get_surfaces returns None — with one warning — for devices the
-        # closed form cannot represent (fault wrappers, shaded strings),
-        # in which case the run silently stays on the exact solvers.
+        # engine's per-step MPP solves (fault days that need them) and for
+        # the policy's controller (if any).  get_surfaces returns None —
+        # with one warning per device type — for devices the closed form
+        # cannot represent (fault wrappers, shaded strings), in which case
+        # the run silently stays on the exact solvers.
         self.surfaces = None
         #: Why this table-mode day keeps the scalar loop instead of the
         #: batched fast path (None: it batches, or the solver is exact).
@@ -302,11 +308,20 @@ class DayEngine:
     def _run(self, tel):
         policy = self.policy
         recorder = self.recorder
-        trace = self.trace
         array = self.array
         surfaces = self.surfaces
+        faults = self.faults
         dt = self.config.step_minutes
         on_solar_prev = False
+        # Per-phase profiling: `profiling` is hoisted once, so the default
+        # path pays one local-bool check per phase site; a profiling hub
+        # laps each region into an exclusive `step.*`/`day.*` partition
+        # phase (see repro.telemetry.timers).  A cold environment's build
+        # is the day's `day.environment` phase.
+        profiling = tel.profiling
+        lap = tel.laps()
+        env = self.environment.solve()
+        lap("day.environment")
         # Batched fast path: when the table solver is active and nothing
         # requires per-step hooks (no fault injection), supported policies
         # can be evaluated as NumPy array programs over whole spans of
@@ -320,29 +335,39 @@ class DayEngine:
                     return self._finish(tel)
             elif tel.enabled:
                 tel.count(f"fastday.declined.{self.fastday_decline}")
-        # Per-phase profiling: `profiling` is hoisted once, so the default
-        # path pays one local-bool check per phase site; a profiling hub
-        # laps each step region into an exclusive `step.*` partition
-        # phase (see repro.telemetry.timers).
-        profiling = tel.profiling
-        lap = tel.laps()
 
-        for index in range(len(trace.minutes) - 1):
-            minute = float(trace.minutes[index])
-            irradiance = float(trace.irradiance[index])
-            ambient = float(trace.ambient_c[index])
-            if self.faults is not None:
-                irradiance = self.faults.begin_step(minute, irradiance, tel)
-            cell_temp = array.cell_temperature_from_ambient(irradiance, ambient)
-            if profiling:
-                lap("step.trace")
-            mpp = (
-                surfaces.mpp(irradiance, cell_temp)
-                if surfaces is not None
-                else find_mpp(array, irradiance, cell_temp)
-            )
-            if profiling:
-                lap("step.mpp_solve")
+        minutes = env.minutes.tolist()
+        irradiances = env.irradiance.tolist()
+        ambients = env.ambient_c.tolist()
+        # The environment carries every step's MPP, unless the day's faults
+        # change the irradiance or the array: then the day solves each step
+        # itself, once the fault clock has advanced.
+        solves = env.mpp is None
+        if not solves:
+            cell_temps = env.cell_temp.tolist()
+            mpps = env.mpp
+        for index in range(env.steps):
+            minute = minutes[index]
+            irradiance = irradiances[index]
+            ambient = ambients[index]
+            if faults is not None:
+                irradiance = faults.begin_step(minute, irradiance, tel)
+            if not solves:
+                cell_temp = cell_temps[index]
+                mpp = mpps[index]
+                if profiling:
+                    lap("step.trace")
+            else:
+                cell_temp = array.cell_temperature_from_ambient(irradiance, ambient)
+                if profiling:
+                    lap("step.trace")
+                mpp = (
+                    surfaces.mpp(irradiance, cell_temp)
+                    if surfaces is not None
+                    else find_mpp(array, irradiance, cell_temp)
+                )
+                if profiling:
+                    lap("step.mpp_solve")
             ctx = StepContext(
                 index=index,
                 minute=minute,
@@ -392,13 +417,12 @@ class DayEngine:
         """End-of-day bookkeeping shared by the scalar and batched loops."""
         policy = self.policy
         recorder = self.recorder
-        trace = self.trace
         lap = tel.laps()
         if tel.enabled:
             tel.count("sim.days")
             tel.emit(
                 EnergyBalanceEvent(
-                    minute=float(trace.minutes[0]),
+                    minute=float(self.environment.minutes[0]),
                     policy=policy.name,
                     solar_wh=self.ledger.solar_wh,
                     utility_wh=self.ledger.utility_wh,

@@ -17,8 +17,9 @@ predicates (``MPPTPolicy.track_due``, ``FixedBudgetPolicy.alloc_due``),
 runs the *real* policy code at those steps (so tracking, tuning, DVFS
 transition counting, and sensor behaviour are exactly the scalar-loop
 code paths), and evaluates every span in between as NumPy programs over
-arrays precomputed once per day (cell temperature, MPP power from the
-interpolation surface, per-core IPC, the ATS floor).
+whole-day arrays: the cell temperature and MPP power of the day's shared
+environment (:mod:`repro.core.dayenv`), and the per-core IPC and ATS
+floor computed once per day.
 
 The fast path runs whenever nothing needs per-step hooks: table solver
 active, no fault injection, and a policy / recorder pair this module knows
@@ -80,21 +81,6 @@ def decline_reason(engine) -> str | None:
     if supports(engine) is None:
         return "policy"
     return None
-
-
-class _DayArrays:
-    """Whole-day environment arrays, computed once per run."""
-
-    def __init__(self, engine) -> None:
-        trace = engine.trace
-        n = len(trace.minutes) - 1
-        self.n = n
-        self.minutes = np.asarray(trace.minutes, dtype=np.float64)[:n]
-        self.irr = np.asarray(trace.irradiance, dtype=np.float64)[:n]
-        self.amb = np.asarray(trace.ambient_c, dtype=np.float64)[:n]
-        vd = engine.surfaces.vectorized
-        self.tcell = vd.cell_temperature_from_ambient(self.irr, self.amb)
-        self.pmpp, self.vmpp = engine.surfaces.mpp_arrays(self.irr, self.tcell)
 
 
 def _ipc_matrix(chip, minutes: np.ndarray) -> np.ndarray:
@@ -168,7 +154,7 @@ def _span_coefficients(chip) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _flush_span(
     engine,
-    arrays: _DayArrays,
+    env,
     ipc: np.ndarray,
     start: int,
     end: int,
@@ -196,12 +182,12 @@ def _flush_span(
     for core, retired in zip(chip.cores, retired_per_core):
         core.credit_retired(float(retired))
 
-    recorder.minutes.extend(arrays.minutes[start:end].tolist())
-    recorder.mpp_w.extend(arrays.pmpp[start:end].tolist())
+    recorder.minutes.extend(env.minutes[start:end].tolist())
+    recorder.mpp_w.extend(env.pmpp[start:end].tolist())
     recorder.throughput.extend(throughput.tolist())
     recorder.on_solar.extend([solar] * count)
     if solar:
-        cap = arrays.pmpp[start:end] if budget_w is None else budget_w
+        cap = env.pmpp[start:end] if budget_w is None else budget_w
         consumed = np.minimum(power, cap)
         recorder.consumed_w.extend(consumed.tolist())
         recorder.retired_solar += float(throughput.sum()) * dt * 60.0
@@ -216,31 +202,30 @@ def _flush_span(
         ledger.load_wh += utility_wh
 
 
-def _run_stepped(engine, tel, arrays: _DayArrays, mode: str, lap) -> None:
+def _run_stepped(engine, tel, env, mode: str, lap) -> None:
     """The MPPT / fixed-budget day: event steps real, spans vectorized."""
     policy = engine.policy
     chip = policy.chip
     cfg = engine.config
     dt = cfg.step_minutes
-    surfaces = engine.surfaces
     recorder = engine.recorder
     ledger = engine.ledger
     ats = engine.ats
     predictor = getattr(policy, "predictor", None)
     budget_w = policy.budget_w if mode == "fixed" else None
 
-    ipc = _ipc_matrix(chip, arrays.minutes)
+    ipc = _ipc_matrix(chip, env.minutes)
     floor = _floor_array(chip, ipc, cfg.enable_pcpg)
     if mode == "fixed":
-        solar_mask = (arrays.pmpp >= policy.budget_w) & (policy.budget_w >= floor)
+        solar_mask = (env.pmpp >= policy.budget_w) & (policy.budget_w >= floor)
     lap("day.chip_arrays")
 
     on_solar_prev = False
     pending_start = 0
     pending_solar = False
-    for index in range(arrays.n):
-        minute = float(arrays.minutes[index])
-        pmpp = float(arrays.pmpp[index])
+    for index in range(env.steps):
+        minute = float(env.minutes[index])
+        pmpp = float(env.pmpp[index])
         if mode == "mppt":
             source = ats.update(pmpp, float(floor[index]))
             on_solar = source is PowerSource.SOLAR
@@ -259,16 +244,16 @@ def _run_stepped(engine, tel, arrays: _DayArrays, mode: str, lap) -> None:
         if event:
             lap("step.scan")
             _flush_span(
-                engine, arrays, ipc, pending_start, index, pending_solar, budget_w
+                engine, env, ipc, pending_start, index, pending_solar, budget_w
             )
             lap("step.spans")
             ctx = StepContext(
                 index=index,
                 minute=minute,
-                irradiance=float(arrays.irr[index]),
-                ambient_c=float(arrays.amb[index]),
-                cell_temp=float(arrays.tcell[index]),
-                mpp=surfaces.mpp(float(arrays.irr[index]), float(arrays.tcell[index])),
+                irradiance=float(env.irradiance[index]),
+                ambient_c=float(env.ambient_c[index]),
+                cell_temp=float(env.cell_temp[index]),
+                mpp=env.mpp[index],
                 dt=dt,
             )
             if mode == "mppt" and on_solar is not on_solar_prev and tel.enabled:
@@ -300,7 +285,7 @@ def _run_stepped(engine, tel, arrays: _DayArrays, mode: str, lap) -> None:
         on_solar_prev = on_solar
     lap("step.scan")
     _flush_span(
-        engine, arrays, ipc, pending_start, arrays.n, pending_solar, budget_w
+        engine, env, ipc, pending_start, env.steps, pending_solar, budget_w
     )
     lap("step.spans")
 
@@ -319,15 +304,14 @@ def run_fast(engine, tel) -> bool:
     if mode is None:
         return False
     lap = tel.laps()
-    arrays = _DayArrays(engine)
-    lap("day.mpp_arrays")
+    env = engine.environment.solve()
     if mode == "battery":
         # The harvest loop integrates MPP power and records nothing; the
         # spend phase runs in BatteryPolicy.finalize via recorder.build.
         engine.policy.harvested_wh += (
-            float(arrays.pmpp.sum()) * engine.config.step_minutes / 60.0
+            float(env.pmpp.sum()) * engine.config.step_minutes / 60.0
         )
         lap("step.spans")
     else:
-        _run_stepped(engine, tel, arrays, mode, lap)
+        _run_stepped(engine, tel, env, mode, lap)
     return True

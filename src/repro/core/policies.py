@@ -146,7 +146,9 @@ class MPPTPolicy(SupplyPolicy):
                     floor=cfg.adaptive_margin_floor,
                     ceiling=cfg.power_margin,
                 )
-            result = self.controller.track(ctx.irradiance, ctx.cell_temp, minute)
+            result = self.controller.track(
+                ctx.irradiance, ctx.cell_temp, minute, mpp
+            )
             tel = telemetry_hub.current()
             if cfg.realloc_after_track and not result.load_saturated:
                 # Ref [15]-style global reallocation under the budget
@@ -337,13 +339,13 @@ class BatteryPolicy(SupplyPolicy):
     def finalize(self, engine: DayEngine) -> BatteryDayResult:
         """De-rate the harvest, spend it at full speed, build the result."""
         tel = telemetry_hub.current()
-        trace = engine.trace
+        start = float(engine.environment.minutes[0])
         dt = self.cfg.step_minutes
         self.harvested_wh *= self.derating
         if tel.enabled:
             tel.emit(
                 BatteryEvent(
-                    minute=float(trace.minutes[0]),
+                    minute=start,
                     phase="harvested",
                     energy_wh=self.harvested_wh,
                     derating=self.derating,
@@ -355,7 +357,7 @@ class BatteryPolicy(SupplyPolicy):
         chip.set_all_max()
         self.chip = chip
         remaining_wh = self.harvested_wh
-        minute = float(trace.minutes[0])
+        minute = start
         while remaining_wh > 0.0:
             power = chip.total_power_at(minute)
             step_wh = power * dt / 60.0
@@ -385,7 +387,7 @@ class BatteryPolicy(SupplyPolicy):
             month=self.month,
             derating=self.derating,
             harvested_wh=self.harvested_wh,
-            runtime_minutes=minute - float(trace.minutes[0]),
+            runtime_minutes=minute - start,
             ptp=chip.retired_ginst,
         )
 

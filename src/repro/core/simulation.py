@@ -13,6 +13,9 @@ keeps the stable public entry points:
 Each ``run_day*`` function also has a ``*_engine`` sibling returning the
 configured-but-unrun :class:`~repro.core.engine.DayEngine`, for callers
 that need the engine's energy ledger or want to compose policies directly.
+Every factory starts from :func:`~repro.core.dayenv.prepare_day`, which
+resolves the config, the array, the fault kit and the day's shared
+environment.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import logging
 
 from repro.core.config import SolarCoreConfig
+from repro.core.dayenv import prepare_day
 from repro.core.engine import DayEngine
 from repro.core.policies import (
     BatteryPolicy,
@@ -29,10 +33,9 @@ from repro.core.policies import (
     MPPTPolicy,
 )
 from repro.core.results import BatteryDayResult, DayResult
-from repro.environment.irradiance import generate_trace
 from repro.environment.locations import Location
 from repro.environment.trace import EnvironmentTrace
-from repro.faults import FaultSchedule, build_fault_kit
+from repro.faults import FaultSchedule
 from repro.multicore.dvfs import DVFSTable
 from repro.power.sensors import IVSensor
 from repro.pv.array import PVArray
@@ -66,34 +69,21 @@ def mppt_day_engine(
     faults: FaultSchedule | str | None = None,
 ) -> DayEngine:
     """The configured :class:`DayEngine` behind :func:`run_day`."""
-    cfg = config or SolarCoreConfig()
+    day = prepare_day(location, month, config, array, trace, seed, faults)
     workload = resolve_mix(workload)
-    array = array or PVArray()
-    if trace is None:
-        trace = generate_trace(location, month, seed=seed, step_minutes=cfg.step_minutes)
-    kit = build_fault_kit(faults)
     converter = None
-    if kit is not None:
-        # Wrap before the policy is built so engine MPP solves, controller
-        # operating-point solves, and sensor reads all see the faulted view.
-        array = kit.wrap_array(array)
-        sensor = kit.wrap_sensor(sensor)
-        converter = kit.make_converter()
+    if day.kit is not None:
+        sensor = day.kit.wrap_sensor(sensor)
+        converter = day.kit.make_converter()
     supply = MPPTPolicy(
-        workload, policy, cfg, array,
+        workload, policy, day.config, day.array,
         dvfs_table=dvfs_table, sensor=sensor, converter=converter,
     )
-    return DayEngine(
-        array=array,
-        trace=trace,
-        config=cfg,
-        policy=supply,
-        recorder=DayResultRecorder(workload, location, month),
-        span_name="run_day",
-        span_attrs=dict(
-            mix=workload.name, location=location.code, month=month, policy=policy
-        ),
-        faults=kit.scheduler if kit is not None else None,
+    return day.engine(
+        supply,
+        DayResultRecorder(workload, location, month),
+        "run_day",
+        dict(mix=workload.name, location=location.code, month=month, policy=policy),
     )
 
 
@@ -159,30 +149,21 @@ def fixed_day_engine(
     seed: int | None = None,
     faults: FaultSchedule | str | None = None,
 ) -> DayEngine:
-    """The configured :class:`DayEngine` behind :func:`run_day_fixed`."""
-    cfg = config or SolarCoreConfig()
+    """The configured :class:`DayEngine` behind :func:`run_day_fixed`.
+
+    The baseline has no sensor or converter in the loop; only array- and
+    trace-level faults (plus engine-applied ones) can bite.
+    """
+    day = prepare_day(location, month, config, array, trace, seed, faults)
     workload = resolve_mix(workload)
-    array = array or PVArray()
-    if trace is None:
-        trace = generate_trace(location, month, seed=seed, step_minutes=cfg.step_minutes)
-    kit = build_fault_kit(faults)
-    if kit is not None:
-        # The baseline has no sensor/converter in the loop; only array-
-        # and trace-level faults (plus engine-applied ones) can bite.
-        array = kit.wrap_array(array)
-    supply = FixedBudgetPolicy(workload, budget_w, cfg)
-    return DayEngine(
-        array=array,
-        trace=trace,
-        config=cfg,
-        policy=supply,
-        recorder=DayResultRecorder(workload, location, month),
-        span_name="run_day_fixed",
-        span_attrs=dict(
+    return day.engine(
+        FixedBudgetPolicy(workload, budget_w, day.config),
+        DayResultRecorder(workload, location, month),
+        "run_day_fixed",
+        dict(
             mix=workload.name, location=location.code, month=month,
             budget_w=budget_w,
         ),
-        faults=kit.scheduler if kit is not None else None,
     )
 
 
@@ -227,27 +208,16 @@ def battery_day_engine(
     """The configured :class:`DayEngine` behind :func:`run_day_battery`."""
     if not 0.0 < derating <= 1.0:
         raise ValueError(f"derating must be in (0, 1], got {derating}")
-    cfg = config or SolarCoreConfig()
+    day = prepare_day(location, month, config, array, trace, seed, faults)
     workload = resolve_mix(workload)
-    array = array or PVArray()
-    if trace is None:
-        trace = generate_trace(location, month, seed=seed, step_minutes=cfg.step_minutes)
-    kit = build_fault_kit(faults)
-    if kit is not None:
-        array = kit.wrap_array(array)
-    supply = BatteryPolicy(workload, location, month, derating, cfg)
-    return DayEngine(
-        array=array,
-        trace=trace,
-        config=cfg,
-        policy=supply,
-        recorder=BatteryRecorder(),
-        span_name="run_day_battery",
-        span_attrs=dict(
+    return day.engine(
+        BatteryPolicy(workload, location, month, derating, day.config),
+        BatteryRecorder(),
+        "run_day_battery",
+        dict(
             mix=workload.name, location=location.code, month=month,
             derating=derating,
         ),
-        faults=kit.scheduler if kit is not None else None,
     )
 
 

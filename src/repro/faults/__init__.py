@@ -55,6 +55,8 @@ __all__ = [
 SENSOR_KINDS = ("sensor_dropout", "sensor_stuck", "sensor_bias", "sensor_noise")
 #: Fault kinds acting on the PV generator.
 ARRAY_KINDS = ("pv_string",)
+#: Fault kinds acting on the irradiance that reaches the panel.
+IRRADIANCE_KINDS = ("trace_gap", "soiling")
 #: Fault kinds acting on the DC/DC stage.
 CONVERTER_KINDS = ("conv_eff", "k_stuck")
 #: Fault kinds acting on the transfer switch.
@@ -71,6 +73,13 @@ class FaultKit:
     def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
         self.scheduler = FaultScheduler(schedule)
+
+    @property
+    def solves_each_step(self) -> bool:
+        """Whether the day re-solves its MPP at every step: the schedule
+        changes the irradiance the panel sees, or the array itself, so
+        the cell's shared environment does not describe this day."""
+        return self.scheduler.has(*IRRADIANCE_KINDS, *ARRAY_KINDS)
 
     def wrap_array(self, array):
         """The (possibly wrapped) PV generator."""

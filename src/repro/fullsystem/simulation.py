@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.config import SolarCoreConfig
 from repro.core.controller import SolarCoreController
+from repro.core.dayenv import prepare_day
 from repro.core.engine import (
     DayEngine,
     SeriesRecorder,
@@ -27,7 +28,6 @@ from repro.core.engine import (
     StepSample,
     SupplyPolicy,
 )
-from repro.environment.irradiance import generate_trace
 from repro.environment.locations import Location
 from repro.environment.trace import EnvironmentTrace
 from repro.fullsystem.disk import DRPMDisk
@@ -151,7 +151,9 @@ class FullSystemPolicy(SupplyPolicy):
     def solar_step(self, ctx: StepContext) -> StepSample:
         system = self.system
         if ctx.minute - self._last_track >= self.cfg.tracking_interval_min:
-            self.controller.track(ctx.irradiance, ctx.cell_temp, ctx.minute)
+            self.controller.track(
+                ctx.irradiance, ctx.cell_temp, ctx.minute, ctx.mpp
+            )
             self._last_track = ctx.minute
         drawn = min(system.total_power_at(ctx.minute), ctx.mpp.power)
         retired = system.chip.advance(ctx.minute, ctx.dt)
@@ -221,27 +223,17 @@ def fullsystem_day_engine(
     faults=None,
 ) -> DayEngine:
     """The configured :class:`DayEngine` behind :func:`run_day_fullsystem`."""
-    from repro.faults import build_fault_kit
-
-    cfg = config or SolarCoreConfig()
+    day = prepare_day(
+        location, month, config, array or PVArray(modules_parallel=2),
+        trace, seed, faults,
+    )
     workload = resolve_mix(workload)
-    array = array or PVArray(modules_parallel=2)
-    if trace is None:
-        trace = generate_trace(location, month, seed=seed, step_minutes=cfg.step_minutes)
-    kit = build_fault_kit(faults)
-    if kit is not None:
-        array = kit.wrap_array(array)
-    system = server or default_server(workload, chip_spec=cfg.chip_spec)
-    supply = FullSystemPolicy(system, cfg, array)
-    return DayEngine(
-        array=array,
-        trace=trace,
-        config=cfg,
-        policy=supply,
-        recorder=FullSystemRecorder(workload, location, month),
-        span_name="run_day_fullsystem",
-        span_attrs=dict(mix=workload.name, location=location.code, month=month),
-        faults=kit.scheduler if kit is not None else None,
+    system = server or default_server(workload, chip_spec=day.config.chip_spec)
+    return day.engine(
+        FullSystemPolicy(system, day.config, day.array),
+        FullSystemRecorder(workload, location, month),
+        "run_day_fullsystem",
+        dict(mix=workload.name, location=location.code, month=month),
     )
 
 

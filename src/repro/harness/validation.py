@@ -154,8 +154,8 @@ def validate_mppt(
             for irradiance, temp in conditions:
                 mpp = find_mpp(array, irradiance, temp)
                 floor = chip.floor_power_at(120.0, with_gating=cfg.enable_pcpg)
-                result = controller.track(irradiance, temp, minute=120.0)
-                retrack = controller.track(irradiance, temp, minute=120.0)
+                result = controller.track(irradiance, temp, 120.0, mpp)
+                retrack = controller.track(irradiance, temp, 120.0, mpp)
                 cases.append(
                     ValidationCase(
                         mix_name=mix_name,

@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import SolarCoreConfig
-from repro.environment.irradiance import generate_trace
 from repro.environment.locations import Location
 from repro.environment.trace import EnvironmentTrace
 from repro.multicore.chip import MultiCoreChip
 from repro.pv.array import PVArray
-from repro.pv.mpp import find_mpp
 from repro.workloads.mixes import WorkloadMix, mix as mix_by_name
 
 __all__ = ["GridTieDayResult", "run_day_gridtie"]
@@ -100,11 +98,17 @@ def run_day_gridtie(
         )
     if not 0.0 < psu_efficiency <= 1.0:
         raise ValueError(f"psu_efficiency must be in (0, 1], got {psu_efficiency}")
+    # Imported here: repro.core imports this package.
+    from repro.core.dayenv import day_environment
+
     cfg = config or SolarCoreConfig()
     workload = workload if isinstance(workload, WorkloadMix) else mix_by_name(workload)
-    array = array or PVArray()
-    if trace is None:
-        trace = generate_trace(location, month, seed=seed, step_minutes=cfg.step_minutes)
+    # The string inverter tracks the exact MPP: the cell's shared exact
+    # environment (the direct-coupled days of the same cell solve it too).
+    env = day_environment(
+        location, month, array or PVArray(),
+        seed=seed, step_minutes=cfg.step_minutes, trace=trace,
+    ).solve()
 
     chip = MultiCoreChip(workload, spec=cfg.chip_spec)
     chip.set_all_max()
@@ -112,12 +116,8 @@ def run_day_gridtie(
     dt = cfg.step_minutes
     harvested = 0.0
     consumed_dc = 0.0
-    for i in range(len(trace.minutes) - 1):
-        minute = float(trace.minutes[i])
-        irradiance = float(trace.irradiance[i])
-        ambient = float(trace.ambient_c[i])
-        cell_temp = array.cell_temperature_from_ambient(irradiance, ambient)
-        harvested += find_mpp(array, irradiance, cell_temp).power * dt / 60.0
+    for minute, mpp in zip(env.minutes.tolist(), env.mpp):
+        harvested += mpp.power * dt / 60.0
         consumed_dc += chip.total_power_at(minute) * dt / 60.0
         chip.advance(minute, dt)
 

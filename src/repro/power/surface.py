@@ -328,6 +328,9 @@ class OperatingSurfaces:
                 "vectorization (fault injectors and shaded strings must use "
                 "the exact solvers)"
             )
+        tel = telemetry_hub.current()
+        if tel.enabled:
+            tel.count("surface.builds")
         spec = spec or SurfaceSpec()
 
         g_nodes = np.exp(
@@ -869,6 +872,9 @@ _REGISTRY: dict[str, OperatingSurfaces] = {}
 #: Serializes registry misses, so concurrent first uses build once.
 _REGISTRY_LOCK = threading.Lock()
 
+#: Device types already warned about having no surface (warned once each).
+_UNSUPPORTED_WARNED: set[str] = set()
+
 
 def get_surfaces(
     device,
@@ -877,18 +883,23 @@ def get_surfaces(
 ) -> OperatingSurfaces | None:
     """The surface set for ``device``, building or loading on first use.
 
-    Returns None — and logs why, once — when the device has no
-    closed-form vectorization; callers then stay on the exact solvers.
-    ``cache_dir`` (default: ``$SOLARCORE_SURFACE_DIR``) persists built
-    tables across processes.
+    Returns None — and logs why, once per device type and process — when
+    the device has no closed-form vectorization; callers then stay on the
+    exact solvers.  ``cache_dir`` (default: ``$SOLARCORE_SURFACE_DIR``)
+    persists built tables across processes.
     """
     vd = device_scaling(device)
     if vd is None:
-        log.warning(
-            "no operating surface for %s: device has no closed-form "
-            "vectorization; using exact solvers",
-            type(device).__name__,
-        )
+        kind = type(device).__name__
+        with _REGISTRY_LOCK:
+            first = kind not in _UNSUPPORTED_WARNED
+            _UNSUPPORTED_WARNED.add(kind)
+        if first:
+            log.warning(
+                "no operating surface for %s: device has no closed-form "
+                "vectorization; using exact solvers",
+                kind,
+            )
         return None
     spec = spec or SurfaceSpec()
     key = surface_key(vd.describe(), spec)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from scipy.optimize import minimize_scalar
 
 from repro.pv.curves import PVDevice
+from repro.telemetry import hub as telemetry_hub
 
 __all__ = ["MaxPowerPoint", "find_mpp"]
 
@@ -54,6 +55,9 @@ def find_mpp(
     Returns:
         The exact :class:`MaxPowerPoint`.
     """
+    tel = telemetry_hub.current()
+    if tel.enabled:
+        tel.count("pv.mpp_solves")
     if irradiance <= 0.0:
         return MaxPowerPoint(0.0, 0.0, 0.0, irradiance, temperature_c)
     voc = device.open_circuit_voltage(irradiance, temperature_c)

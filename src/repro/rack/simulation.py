@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import SolarCoreConfig
+from repro.core.dayenv import prepare_day
 from repro.core.engine import (
     DayEngine,
     SeriesRecorder,
@@ -26,7 +27,6 @@ from repro.core.engine import (
     SupplyPolicy,
 )
 from repro.core.fixed_power import allocate_budget
-from repro.environment.irradiance import generate_trace
 from repro.environment.locations import Location
 from repro.environment.trace import EnvironmentTrace
 from repro.multicore.chip import MultiCoreChip
@@ -204,30 +204,20 @@ def rack_day_engine(
     faults=None,
 ) -> DayEngine:
     """The configured :class:`DayEngine` behind :func:`run_day_rack`."""
-    from repro.faults import build_fault_kit
-
     if not mix_names:
         raise ValueError("a rack needs at least one chip")
-    cfg = config or SolarCoreConfig()
-    array = array or PVArray(modules_parallel=len(mix_names))
-    if trace is None:
-        trace = generate_trace(location, month, seed=seed, step_minutes=cfg.step_minutes)
-    kit = build_fault_kit(faults)
-    if kit is not None:
-        array = kit.wrap_array(array)
-    supply = RackPolicy(tuple(mix_names), policy, cfg)
-    return DayEngine(
-        array=array,
-        trace=trace,
-        config=cfg,
-        policy=supply,
-        recorder=RackRecorder(tuple(mix_names), location, month, policy),
-        span_name="run_day_rack",
-        span_attrs=dict(
+    day = prepare_day(
+        location, month, config,
+        array or PVArray(modules_parallel=len(mix_names)), trace, seed, faults,
+    )
+    return day.engine(
+        RackPolicy(tuple(mix_names), policy, day.config),
+        RackRecorder(tuple(mix_names), location, month, policy),
+        "run_day_rack",
+        dict(
             chips=len(mix_names), location=location.code, month=month,
             policy=policy,
         ),
-        faults=kit.scheduler if kit is not None else None,
     )
 
 

@@ -16,7 +16,7 @@ __all__ = ["render_summary", "render_profile", "format_duration", "WORK_COUNTER_
 
 #: Counters that describe solver work and which day path ran; the
 #: profile report and the run ledger's ``solver`` section list these.
-WORK_COUNTER_PREFIXES = ("power.", "surface.", "fastday.")
+WORK_COUNTER_PREFIXES = ("environment.", "pv.", "power.", "surface.", "fastday.")
 
 
 def format_duration(seconds: float) -> str:
@@ -103,8 +103,9 @@ def render_profile(telemetry: Telemetry | NullTelemetry, top: int = 12) -> str:
 
     Three sections: the timer breakdown (partition phases with their
     share of the measured day wall, day regions and nested timers marked
-    as such), the work counters (``brentq`` calls/iterations with
-    per-call means, surface fallbacks, ``fastday.declined.*``), and a
+    as such), the work counters (environment builds, MPP solves,
+    ``brentq`` calls/iterations with per-call means, surface builds and
+    fallbacks, ``fastday.declined.*``), and a
     per-sweep-cell rollup when day profiles carry cells.  Returns an
     empty string for a hub that is not profiling or timed nothing.
     """

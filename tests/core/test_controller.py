@@ -24,11 +24,17 @@ def make_controller(mix_name="HM2", policy="MPPT&Opt", **config_kwargs):
     return controller, chip, converter
 
 
+def track(controller, irradiance, temp, minute):
+    """One tracking event, handed the panel's exact MPP as the engine does."""
+    mpp = find_mpp(controller.array, irradiance, temp)
+    return controller.track(irradiance, temp, minute, mpp)
+
+
 class TestTrackingConvergence:
     @pytest.mark.parametrize("irradiance,temp", [(900, 45), (600, 35), (350, 25)])
     def test_tracks_close_to_mpp(self, irradiance, temp):
         controller, chip, _ = make_controller()
-        result = controller.track(irradiance, temp, 100.0)
+        result = track(controller, irradiance, temp, 100.0)
         mpp = find_mpp(controller.array, irradiance, temp)
         # Either the chip saturated below the MPP, or we sit within the
         # margin band below the MPP.
@@ -40,19 +46,19 @@ class TestTrackingConvergence:
 
     def test_demand_respects_margin(self):
         controller, chip, _ = make_controller(power_margin=0.05)
-        result = controller.track(700, 40, 100.0)
+        result = track(controller, 700, 40, 100.0)
         if not result.load_saturated:
             demand = chip.total_power_at(100.0)
             assert demand <= result.best_power_w * 1.001
 
     def test_rail_near_nominal_after_tracking(self):
         controller, chip, _ = make_controller()
-        result = controller.track(800, 40, 100.0)
+        result = track(controller, 800, 40, 100.0)
         assert abs(result.rail_voltage - 12.0) < 1.5
 
     def test_dark_panel_short_circuits(self):
         controller, _, _ = make_controller()
-        result = controller.track(0.0, 25.0, 100.0)
+        result = track(controller, 0.0, 25.0, 100.0)
         assert result.power_w == 0.0
         assert result.iterations == 0
 
@@ -65,16 +71,16 @@ class TestTrackingConvergence:
         controller = SolarCoreController(
             array, DCDCConverter(k_max=20.0), chip, make_tuner("MPPT&Opt"), config
         )
-        result = controller.track(1000, 45, 100.0)
+        result = track(controller, 1000, 45, 100.0)
         assert result.load_saturated
         assert chip.levels == (chip.table.max_level,) * 8
 
     def test_tracking_recovers_from_collapsed_branch(self):
         """A deep supply drop must not strand the system near short circuit."""
         controller, chip, converter = make_controller()
-        controller.track(950, 45, 100.0)  # tune at high supply
+        track(controller, 950, 45, 100.0)  # tune at high supply
         # Supply collapses; previous k and levels are now far too aggressive.
-        result = controller.track(250, 25, 100.0)
+        result = track(controller, 250, 25, 100.0)
         mpp = find_mpp(controller.array, 250, 25)
         assert result.power_w >= mpp.power * 0.5
         assert result.rail_voltage > 8.0
@@ -83,17 +89,17 @@ class TestTrackingConvergence:
 class TestTrackingMechanics:
     def test_iterations_bounded(self):
         controller, _, _ = make_controller(max_track_iterations=5)
-        result = controller.track(800, 40, 100.0)
+        result = track(controller, 800, 40, 100.0)
         assert result.iterations <= 5
 
     def test_k_stays_on_grid_bounds(self):
         controller, _, converter = make_controller()
-        controller.track(800, 40, 100.0)
+        track(controller, 800, 40, 100.0)
         assert converter.k_min <= converter.k <= converter.k_max
 
     def test_solve_consistent_with_chip_state(self):
         controller, chip, _ = make_controller()
-        controller.track(700, 35, 50.0)
+        track(controller, 700, 35, 50.0)
         op = controller.solve(700, 35, 50.0)
         resistance = chip.effective_resistance(50.0)
         assert op.output_current == pytest.approx(
@@ -103,6 +109,6 @@ class TestTrackingMechanics:
     @pytest.mark.parametrize("policy", ["MPPT&IC", "MPPT&RR", "MPPT&Opt"])
     def test_all_policies_track(self, policy):
         controller, _, _ = make_controller(policy=policy)
-        result = controller.track(600, 35, 100.0)
+        result = track(controller, 600, 35, 100.0)
         mpp = find_mpp(controller.array, 600, 35)
         assert result.power_w >= mpp.power * 0.7

@@ -24,27 +24,33 @@ def make_controller(config=None, sensor=None):
     return controller, chip
 
 
+def track(controller, irradiance, temp, minute):
+    """One tracking event, handed the panel's exact MPP as the engine does."""
+    mpp = find_mpp(controller.array, irradiance, temp)
+    return controller.track(irradiance, temp, minute, mpp)
+
+
 class TestMarginOverride:
     def test_override_changes_backoff(self):
         ctl_wide, chip_wide = make_controller()
         ctl_wide.margin_override = 0.15
-        ctl_wide.track(700, 40, 100.0)
+        track(ctl_wide, 700, 40, 100.0)
         demand_wide = chip_wide.total_power_at(100.0)
 
         ctl_tight, chip_tight = make_controller()
         ctl_tight.margin_override = 0.01
-        ctl_tight.track(700, 40, 100.0)
+        track(ctl_tight, 700, 40, 100.0)
         demand_tight = chip_tight.total_power_at(100.0)
 
         assert demand_tight > demand_wide
 
     def test_none_uses_config_margin(self):
         ctl_default, chip_default = make_controller()
-        ctl_default.track(700, 40, 100.0)
+        track(ctl_default, 700, 40, 100.0)
 
         ctl_same, chip_same = make_controller()
         ctl_same.margin_override = SolarCoreConfig().power_margin
-        ctl_same.track(700, 40, 100.0)
+        track(ctl_same, 700, 40, 100.0)
 
         assert chip_same.total_power_at(100.0) == pytest.approx(
             chip_default.total_power_at(100.0), rel=0.05
@@ -59,7 +65,7 @@ class TestSensorAveraging:
             cfg = SolarCoreConfig(sensor_averaging=averaging)
             sensor = IVSensor(noise_fraction=0.05, seed=11)
             controller, chip = make_controller(cfg, sensor)
-            controller.track(700, 40, 100.0)
+            track(controller, 700, 40, 100.0)
             outcomes[averaging] = chip.total_power_at(100.0)
         # The burst-averaged controller lands closer to the margin band.
         target = mpp.power * (1.0 - SolarCoreConfig().power_margin)
@@ -70,7 +76,7 @@ class TestTransitionAccounting:
     def test_tracking_counts_transitions(self):
         controller, chip = make_controller()
         before = chip.total_transitions  # setup itself moved levels
-        controller.track(700, 40, 100.0)
+        track(controller, 700, 40, 100.0)
         assert chip.total_transitions > before
         assert chip.total_transition_volts > 0.0
 

@@ -18,6 +18,7 @@ from repro.multicore.chip import MultiCoreChip
 from repro.power.converter import DCDCConverter
 from repro.power.sensors import IVSensor
 from repro.pv.array import PVArray
+from repro.pv.mpp import find_mpp
 from repro.telemetry import NULL_TELEMETRY, RingBufferSink, telemetry_session
 from repro.workloads.mixes import mix
 
@@ -42,7 +43,8 @@ def make_faulty_controller(spec: str, **config_kwargs):
 
 def step_and_track(controller, scheduler, minute, irradiance=800.0, temp=40.0):
     scheduler.begin_step(minute, irradiance, NULL_TELEMETRY)
-    return controller.track(irradiance, temp, minute)
+    mpp = find_mpp(controller.array, irradiance, temp)
+    return controller.track(irradiance, temp, minute, mpp)
 
 
 class TestHoldLastGood:

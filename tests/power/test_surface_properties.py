@@ -177,6 +177,23 @@ class TestFallbacks:
 
         assert get_surfaces(ShadedSeriesString((1.0, 0.5))) is None
 
+    def test_no_surface_warning_once_per_device_type(self, monkeypatch, caplog):
+        """A table-mode fault sweep warns once, not once per day."""
+        from repro.core.config import SolarCoreConfig
+        from repro.core.simulation import run_day
+        from repro.environment.locations import PHOENIX_AZ
+        from repro.power import surface as surface_mod
+
+        monkeypatch.setattr(surface_mod, "_UNSUPPORTED_WARNED", set())
+        cfg = SolarCoreConfig(step_minutes=10.0, solver="table")
+        with caplog.at_level("WARNING", logger="repro.power.surface"):
+            for _ in range(2):
+                run_day("HM2", PHOENIX_AZ, 7, config=cfg,
+                        faults="pv_string@600-660:0.5")
+        warned = [r for r in caplog.records if "no operating surface" in r.message]
+        assert len(warned) == 1
+        assert "FaultyArray" in warned[0].message
+
 
 class TestIdentity:
     def test_key_changes_with_grid_and_device(self, surfaces):

@@ -38,8 +38,8 @@ def test_tracking_lands_in_safe_productive_band(mix_name, policy, g, t, minute):
     controller = SolarCoreController(
         array, DCDCConverter(), chip, make_tuner(policy), config
     )
-    result = controller.track(g, t, minute)
     mpp = find_mpp(array, g, t)
+    result = controller.track(g, t, minute, mpp)
 
     assert result.power_w <= mpp.power * (1.0 + 1e-6)
     if result.load_saturated:
@@ -60,6 +60,7 @@ def test_tracking_idempotent_when_settled(mix_name, g, t):
     controller = SolarCoreController(
         array, DCDCConverter(), chip, make_tuner("MPPT&Opt"), SolarCoreConfig()
     )
-    first = controller.track(g, t, 100.0)
-    second = controller.track(g, t, 100.0)
+    mpp = find_mpp(array, g, t)
+    first = controller.track(g, t, 100.0, mpp)
+    second = controller.track(g, t, 100.0, mpp)
     assert abs(second.power_w - first.power_w) <= 0.15 * max(first.power_w, 1.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SolarCoreConfig
+from repro.core.dayenv import clear_environments
 from repro.core.simulation import run_day
 from repro.environment.locations import location_by_code
 from repro.harness.parallel import grid_tasks
@@ -234,11 +235,26 @@ class TestHubIntegration:
         assert render_profile(dst) == ""
 
 
+def profiled_day(**kwargs) -> Telemetry:
+    """The hub of one profiled HM2 AZ-July day."""
+    hub = profiled_hub()
+    with telemetry_session(hub):
+        run_day("HM2", location_by_code("AZ"), 7, **kwargs)
+    return hub
+
+
 class TestDayIntegration:
     def test_profiled_day_covers_95_percent_of_wall(self):
-        hub = profiled_hub()
-        with telemetry_session(hub):
+        self.check_exact_day(warm=False)
+
+    def test_warm_day_covers_95_percent_of_wall(self):
+        self.check_exact_day(warm=True)
+
+    def check_exact_day(self, warm: bool) -> None:
+        clear_environments()
+        if warm:
             run_day("HM2", location_by_code("AZ"), 7, config=CFG)
+        hub = profiled_day(config=CFG)
         table = hub.timers
         (day,) = table.days
         assert day.cell == ("PFCI", 7)
@@ -248,30 +264,47 @@ class TestDayIntegration:
         assert table["run_day"].count == 1
         assert table["run_day"].total == day.wall_s
         # The acceptance bar: the exclusive step/day phases account for
-        # at least 95% of the measured day wall-time.
+        # at least 95% of the measured day wall-time, a cold build of the
+        # cell's environment included.
         assert table.coverage >= 0.95
-        # Solver work is counted: every brentq call books its iterations.
         counters = hub.snapshot()["counters"]
+        assert counters.get("environment.builds", 0) == (not warm)
+        # Solver work is counted: every brentq call books its iterations.
         assert counters["power.brentq_calls"] > 0
         assert counters["power.brentq_iterations"] > counters["power.brentq_calls"]
-        # The partition phases all ran once per step.
+        # The environment is resolved once; the partition phases ran once
+        # per step, and no step solves the MPP the environment holds.
+        assert table["day.environment"].count == 1
         steps = table["step.trace"].count
         assert steps > 0
-        for name in ("step.mpp_solve", "step.supply", "step.policy",
-                     "step.record"):
+        for name in ("step.supply", "step.policy", "step.record"):
             assert table[name].count == steps
+        assert "step.mpp_solve" not in table
+
+    def test_fault_day_on_the_irradiance_times_each_solve(self):
+        hub = profiled_day(config=CFG, faults="soiling@600-:0.85")
+        table = hub.timers
+        steps = table["step.trace"].count
+        assert table["step.mpp_solve"].count == steps > 0
+        assert table.coverage >= 0.95
 
     def test_profiled_table_day_runs_batched(self):
-        hub = profiled_hub()
-        with telemetry_session(hub):
-            run_day("HM2", location_by_code("AZ"), 7,
-                    config=SolarCoreConfig(solver="table"))
-        table = hub.timers
+        self.check_table_day(warm=False)
+
+    def test_warm_table_day_runs_batched(self):
+        self.check_table_day(warm=True)
+
+    def check_table_day(self, warm: bool) -> None:
+        table_cfg = SolarCoreConfig(solver="table")
+        clear_environments()
+        if warm:
+            run_day("HM2", location_by_code("AZ"), 7, config=table_cfg)
+        table = profiled_day(config=table_cfg).timers
         (day,) = table.days
         assert table["run_day"].count == 1
         # The batched day names its own phases, and they hold the exact
         # path's 95% bar.
-        assert {"day.mpp_arrays", "day.chip_arrays", "step.scan",
+        assert {"day.environment", "day.chip_arrays", "step.scan",
                 "step.events", "step.spans", "day.build"} <= set(day.phases)
         assert "step.mpp_solve" not in table
         assert table.coverage >= 0.95
@@ -302,8 +335,8 @@ class TestDayIntegration:
                               ("ORNL", 7)}
         assert all(len(days) == 2 for days in cells.values())
         # Merged timer counts line up with the summed per-day counts.
-        steps = sum(day.phases["step.mpp_solve"][0] for day in table.days)
-        assert table["step.mpp_solve"].count == steps
+        steps = sum(day.phases["step.trace"][0] for day in table.days)
+        assert table["step.trace"].count == steps
         assert table["run_day"].count == len(tasks)
         assert table.coverage >= 0.95
         assert hub.snapshot()["counters"]["power.brentq_calls"] > 0

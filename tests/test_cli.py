@@ -197,7 +197,8 @@ class TestProfile:
         ]) == 0
         out = capsys.readouterr().out
         assert "utilization" in out
-        assert "step.mpp_solve" in out
+        assert "day.environment" in out
+        assert "step.policy" in out
 
     def test_profile_flag_without_simulation_explains(self, capsys):
         assert main(["list", "--profile"]) == 0
@@ -219,7 +220,7 @@ class TestProfile:
         # phases and none of the per-minute loop's.
         names = {row[0] for row in rows if row}
         assert {"step.events", "step.spans", "step.scan",
-                "day.mpp_arrays"} <= names
+                "day.environment"} <= names
         assert "step.mpp_solve" not in names
         assert "fastday.declined" not in out
 
