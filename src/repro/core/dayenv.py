@@ -126,9 +126,9 @@ class DayEnvironment:
         mpp: Per-step :class:`~repro.pv.mpp.MaxPowerPoint` sequence:
             exact, or the surface's scalar points in table mode, each
             looked up on first read (None likewise).
-        pmpp: Per-step MPP power [W]: the surface's vectorized powers in
-            table mode, the exact points' powers otherwise (None
-            likewise).
+        pmpp: Per-step MPP power [W] from the surface's vectorized
+            lookup, which fastday reads; None unless the environment
+            holds surface points.
     """
 
     def __init__(
@@ -187,25 +187,28 @@ class DayEnvironment:
     def _solve_mpp(self) -> None:
         device = self.device
         irradiance = self.irradiance.tolist()
-        cell_temp = [
-            device.cell_temperature_from_ambient(g, t)
-            for g, t in zip(irradiance, self.ambient_c.tolist())
-        ]
         surfaces = None
         if self.solver == "table":
             from repro.power.surface import get_surfaces
 
             surfaces = get_surfaces(device)
         if surfaces is None:
+            cell_temp = [
+                device.cell_temperature_from_ambient(g, t)
+                for g, t in zip(irradiance, self.ambient_c.tolist())
+            ]
             self.mpp = tuple(
                 find_mpp(device, g, t) for g, t in zip(irradiance, cell_temp)
             )
-            pmpp = np.array([point.power for point in self.mpp])
         else:
-            self.mpp = _SurfacePoints(surfaces, irradiance, cell_temp)
-            pmpp, _ = surfaces.mpp_arrays(self.irradiance, np.array(cell_temp))
+            # The NOCT model over the whole day: the scalar model's floats.
+            cell_temp = surfaces.vectorized.cell_temperature_from_ambient(
+                self.irradiance, self.ambient_c
+            )
+            self.mpp = _SurfacePoints(surfaces, irradiance, cell_temp.tolist())
+            pmpp, _ = surfaces.mpp_arrays(self.irradiance, cell_temp)
+            self.pmpp = _readonly(pmpp, self.steps)
         self.cell_temp = _readonly(cell_temp, self.steps)
-        self.pmpp = _readonly(pmpp, self.steps)
 
 
 def _device_key(device) -> tuple | None:

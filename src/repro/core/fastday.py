@@ -304,7 +304,7 @@ def run_fast(engine, tel) -> bool:
     if mode is None:
         return False
     lap = tel.laps()
-    env = engine.environment.solve()
+    env = engine.environment
     if mode == "battery":
         # The harvest loop integrates MPP power and records nothing; the
         # spend phase runs in BatteryPolicy.finalize via recorder.build.

@@ -7,6 +7,7 @@ import logging
 import pytest
 
 from repro.core.config import SolarCoreConfig
+from repro.core.dayenv import clear_environments
 from repro.multicore.chip import MultiCoreChip
 from repro.pv.array import PVArray
 from repro.pv.module import PVModule
@@ -32,6 +33,19 @@ def _restore_repro_logger():
     logger.handlers[:] = handlers
     logger.setLevel(level)
     logger.propagate = propagate
+
+
+@pytest.fixture(autouse=True)
+def _empty_environment_memo():
+    """Run every test on an empty day-environment memo, and leave it empty.
+
+    A process solves each cell's environment once; without this a test's
+    solve and build counts would depend on which tests ran before it in
+    the same process (and pool workers fork with the parent's memo).
+    """
+    clear_environments()
+    yield
+    clear_environments()
 
 
 @pytest.fixture

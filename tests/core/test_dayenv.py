@@ -98,19 +98,33 @@ class TestSharedEqualsFresh:
 
 
 class TestEnvironment:
-    def test_arrays_are_read_only(self):
-        clear_environments()
-        env = day_environment(PHOENIX_AZ, 7, PVArray(), step_minutes=10.0).solve()
-        arrays = (
-            env.minutes, env.irradiance, env.ambient_c, env.cell_temp, env.pmpp,
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_arrays_are_read_only(self, solver):
+        env = day_environment(PHOENIX_AZ, 7, PVArray(), solver=solver).solve()
+        arrays = [
+            env.minutes, env.irradiance, env.ambient_c, env.cell_temp,
             env.trace.minutes, env.trace.irradiance, env.trace.ambient_c,
-        )
+        ]
+        if solver == "table":
+            arrays.append(env.pmpp)
+        else:
+            # Only fastday reads the vectorized powers, and only in table mode.
+            assert env.pmpp is None
+            assert isinstance(env.mpp, tuple)
         for values in arrays:
             assert not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
-        assert isinstance(env.mpp, tuple)
         assert len(env.mpp) == env.steps == len(env.trace.minutes) - 1
+
+    def test_table_cell_temperatures_match_the_scalar_model(self):
+        array = PVArray()
+        env = day_environment(PHOENIX_AZ, 7, array, solver="table").solve()
+        scalar = [
+            array.cell_temperature_from_ambient(g, t)
+            for g, t in zip(env.irradiance.tolist(), env.ambient_c.tolist())
+        ]
+        assert env.cell_temp.tobytes() == np.array(scalar).tobytes()
 
     def test_table_points_match_the_surface(self):
         clear_environments()

@@ -22,6 +22,7 @@ import os
 import pytest
 
 from repro.core.config import SolarCoreConfig
+from repro.core.dayenv import clear_environments
 from repro.harness import parallel as parallel_mod
 from repro.harness.parallel import SweepTask, grid_tasks, run_parallel
 from repro.harness.runner import SimulationRunner
@@ -146,11 +147,16 @@ class TestSerialParallelParity:
         tasks = grid_tasks(("H1", "L1"), ("AZ", "TN"), (1, 7))
         snaps = {}
         for jobs in (1, 4):
+            # Each sweep starts from an empty environment memo: the forked
+            # workers would otherwise inherit the serial sweep's cells.
+            # Chunks go by cell, so both sides book one build per cell.
+            clear_environments()
             with telemetry_session() as hub:
                 SimulationRunner(CFG, jobs=jobs).prefetch(tasks)
                 snaps[jobs] = hub.snapshot()
         serial, parallel = snaps[1], snaps[4]
         assert serial["counters"] == parallel["counters"]
+        assert serial["counters"]["environment.builds"] == 4
         hist = {
             jobs: snap["histograms"]["controller.track_iterations"]
             for jobs, snap in snaps.items()
