@@ -8,14 +8,15 @@ every layer of the paper's system from scratch:
 * :mod:`repro.environment` — the NREL-MIDC-style meteorological substrate:
   four US stations, solar geometry, seeded stochastic weather, day traces.
 * :mod:`repro.power` — DC/DC converter, PV-converter-load operating-point
-  solving, I/V sensors, ATS/UPS/PSU, and the battery-equipped baseline.
+  solving, I/V sensors, and the automatic transfer switch.
 * :mod:`repro.multicore` — the 8-core chip: per-core DVFS (VID), power
-  model (EPI/IPC based with uncore), power gating, performance counters.
+  model (EPI/IPC based with uncore), power gating.
 * :mod:`repro.workloads` — SPEC2000-class benchmarks with phase-level IPC
   traces and the paper's Table 5 multi-programmed mixes.
 * :mod:`repro.core` — the paper's contribution: the SolarCore three-step
   MPPT controller, throughput-power-ratio load optimization, the IC/RR/Opt
-  scheduling policies, the Fixed-Power baseline, and day-long simulation.
+  scheduling policies, the Fixed-Power and battery-equipped baselines,
+  and day-long simulation.
 * :mod:`repro.metrics` — PTP, energy utilization, tracking error.
 * :mod:`repro.harness` — one experiment per paper table/figure.
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import SolarCoreConfig
-from repro.core.simulation import DayResult, run_day
+from repro.core.simulation import DayResult
 from repro.environment.irradiance import default_seed
-from repro.environment.locations import Location
+from repro.environment.locations import Location, location_by_code
 from repro.metrics.carbon import CarbonReport, carbon_report
 from repro.telemetry import hub as telemetry_hub
 
-__all__ = ["CampaignCell", "CampaignResult", "run_campaign"]
+__all__ = ["CampaignCell", "CampaignResult", "campaign_tasks", "run_campaign"]
 
 log = logging.getLogger(__name__)
 
@@ -98,8 +98,41 @@ class CampaignResult:
         return carbon_report(self.all_days)
 
 
-def _cell_seed(location: Location, month: int, base_seed: int, i: int) -> int:
-    return default_seed(location, month) + base_seed + i
+def campaign_tasks(
+    mix_name: str,
+    locations,
+    months,
+    days_per_cell: int,
+    policy: str = "MPPT&Opt",
+    base_seed: int = 0,
+    faults: str | None = None,
+) -> list:
+    """A campaign's ``mppt`` sweep tasks, in (station, month, realization)
+    order; the arguments are :func:`run_campaign`'s, with ``locations``
+    given as registered :class:`Location` objects or station codes.
+
+    Realization ``i`` of a (station, month) cell uses seed
+    ``default_seed(station, month) + base_seed + i``, so campaigns are
+    deterministic yet realizations are independent.  ``repro campaign``
+    and a service ``campaign`` job both expand through here, so they
+    simulate the same days and share disk-cache entries.
+    """
+    from repro.harness.parallel import SweepTask
+
+    tasks = []
+    for location in locations:
+        if not isinstance(location, Location):
+            location = location_by_code(location)
+        for month in months:
+            first_seed = default_seed(location, month) + base_seed
+            tasks.extend(
+                SweepTask(
+                    "mppt", mix_name, location.code, month, policy=policy,
+                    seed=first_seed + i, faults=faults,
+                )
+                for i in range(days_per_cell)
+            )
+    return tasks
 
 
 def run_campaign(
@@ -115,24 +148,26 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a multi-realization campaign over a (station, month) grid.
 
-    Each cell simulates ``days_per_cell`` independent weather realizations;
-    realization ``i`` of a cell uses seed ``default_seed(loc, month) +
-    base_seed + i``, so campaigns are deterministic yet realizations are
-    independent.
+    Each cell simulates ``days_per_cell`` independent weather realizations
+    (see :func:`campaign_tasks` for their seeds), all through one
+    :class:`~repro.harness.runner.SimulationRunner` prefetch.  The days
+    come back frozen (read-only arrays), and a day that fails every
+    attempt raises :class:`~repro.harness.parallel.SweepError`.
 
     Args:
         mix_name: Table 5 workload mix.
-        locations: Stations to include.
+        locations: Registered stations to include.
         months: Months to include.
         days_per_cell: Weather realizations per cell.
         policy: Power-management policy for every day.
-        config: Simulation configuration.
+        config: Simulation configuration (for the default runner).
         base_seed: Offset for the realization seeds.
-        runner: A :class:`~repro.harness.runner.SimulationRunner` to run
+        runner: The :class:`~repro.harness.runner.SimulationRunner` to run
             the grid through — with ``jobs > 1`` the realizations fan out
             across worker processes, and with ``cache_dir=`` they persist
             to (and reload from) the disk cache.  The runner's config is
-            used; passing a conflicting ``config`` is an error.
+            used; passing a conflicting ``config`` is an error.  None runs
+            an in-process runner over ``config``.
         faults: Fault-schedule spec string applied to every simulated day
             (None = fault-free campaign).
 
@@ -141,55 +176,33 @@ def run_campaign(
     """
     if days_per_cell < 1:
         raise ValueError(f"days_per_cell must be >= 1, got {days_per_cell}")
-    if runner is not None and config is not None and config != runner.config:
+    if runner is None:
+        from repro.harness.runner import SimulationRunner
+
+        runner = SimulationRunner(config)
+    elif config is not None and config != runner.config:
         raise ValueError(
             "run_campaign got both a runner and a conflicting config; "
             "construct the runner with that config instead"
         )
-    tel = telemetry_hub.current()
+    tasks = campaign_tasks(
+        mix_name, locations, months, days_per_cell,
+        policy=policy, base_seed=base_seed, faults=faults,
+    )
+    with telemetry_hub.current().span("run_campaign"):
+        results = runner.prefetch(tasks)
     cells = []
-    with tel.span("run_campaign"):
-        if runner is not None:
-            from repro.harness.parallel import SweepTask
-
-            runner.prefetch(
-                SweepTask(
-                    "mppt", mix_name, location.code, month, policy=policy,
-                    seed=_cell_seed(location, month, base_seed, i),
-                    faults=faults,
-                )
-                for location in locations
-                for month in months
-                for i in range(days_per_cell)
-            )
-        for location in locations:
-            for month in months:
-                days = tuple(
-                    run_day(
-                        mix_name,
-                        location,
-                        month,
-                        policy,
-                        config=config,
-                        seed=_cell_seed(location, month, base_seed, i),
-                        faults=faults,
-                    )
-                    if runner is None
-                    else runner.day(
-                        mix_name,
-                        location,
-                        month,
-                        policy,
-                        seed=_cell_seed(location, month, base_seed, i),
-                        faults=faults,
-                    )
-                    for i in range(days_per_cell)
-                )
-                cells.append(CampaignCell(location.code, month, days))
-                log.info(
-                    "campaign cell %s m%d: %d day(s) simulated",
-                    location.code, month, days_per_cell,
-                )
+    for start in range(0, len(tasks), days_per_cell):
+        cell_tasks = tasks[start:start + days_per_cell]
+        first = cell_tasks[0]
+        cells.append(CampaignCell(
+            first.location_code, first.month,
+            tuple(results[task] for task in cell_tasks),
+        ))
+        log.info(
+            "campaign cell %s m%d: %d day(s) simulated",
+            first.location_code, first.month, days_per_cell,
+        )
     return CampaignResult(
         mix_name=mix_name,
         policy=policy,

@@ -65,7 +65,11 @@ __all__ = [
 #: The three MPPT load-adaptation policies, in Table 6 order.
 POLICIES = ("MPPT&IC", "MPPT&RR", "MPPT&Opt")
 
-#: Battery-system overall de-rating bounds used in Figures 18/21.
+#: Battery-system overall de-rating bounds used in Figures 18/21: Table 3's
+#: chain of MPPT charge-controller efficiency times battery round-trip
+#: efficiency, 97 % x 95 % ~= 92 % (high) and 95 % x 85 % ~= 81 %
+#: (moderate, typical).  ``BatteryPolicy`` applies the factor to the day's
+#: MPP harvest.
 BATTERY_BOUNDS = {"Battery-L": 0.81, "Battery-U": 0.92}
 
 #: Fixed power budgets swept in Figures 15-17 [W].  The paper sweeps

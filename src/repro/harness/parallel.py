@@ -93,6 +93,9 @@ _FORMAT_MARKER = "CACHE_FORMAT"
 #: Task kinds, mirroring the three day-simulation entry points.
 _KINDS = ("mppt", "fixed", "battery")
 
+#: The policy every non-``mppt`` task carries.
+_DEFAULT_POLICY = "MPPT&Opt"
+
 
 def config_key(config: SolarCoreConfig) -> tuple:
     """A hashable cache key over every config field.
@@ -138,13 +141,18 @@ def code_fingerprint() -> str:
 class SweepTask:
     """One cell of the day-simulation grid.
 
+    Two tasks are equal exactly when they share a :meth:`cache_key`:
+    construction rejects a field the kind does not simulate (a budget on
+    an ``mppt`` task, say), so no ignored field can tell equal work apart.
+
     Attributes:
         kind: ``mppt`` (policy day), ``fixed`` (Fixed-Power baseline), or
             ``battery`` (battery-equipped baseline).
         mix_name: Table 5 workload mix.
         location_code: Station code (canonical, e.g. ``AZ``).
         month: Calendar month.
-        policy: Load-adaptation policy (``mppt`` tasks).
+        policy: Load-adaptation policy (``mppt`` tasks; other kinds keep
+            the default).
         budget_w: Power-transfer threshold [W] (``fixed`` tasks).
         derating: Overall de-rating factor (``battery`` tasks).
         seed: Weather-realization seed, or None for the standard seeded
@@ -159,7 +167,7 @@ class SweepTask:
     mix_name: str
     location_code: str
     month: int
-    policy: str = "MPPT&Opt"
+    policy: str = _DEFAULT_POLICY
     budget_w: float | None = None
     derating: float | None = None
     seed: int | None = None
@@ -172,6 +180,12 @@ class SweepTask:
             raise ValueError("fixed tasks require budget_w")
         if self.kind == "battery" and self.derating is None:
             raise ValueError("battery tasks require derating")
+        if self.kind != "fixed" and self.budget_w is not None:
+            raise ValueError(f"budget_w applies only to fixed tasks, not {self.kind}")
+        if self.kind != "battery" and self.derating is not None:
+            raise ValueError(f"derating applies only to battery tasks, not {self.kind}")
+        if self.kind != "mppt" and self.policy != _DEFAULT_POLICY:
+            raise ValueError(f"policy applies only to mppt tasks, not {self.kind}")
         # Canonicalize station aliases ("AZ" -> "PFCI") so the same
         # simulation always maps to the same cache key, however named.
         object.__setattr__(

@@ -3,9 +3,7 @@
 from repro.multicore.chip import NOMINAL_RAIL_V, MultiCoreChip
 from repro.multicore.core import Core
 from repro.multicore.dvfs import DVFSTable, OperatingPoint, default_dvfs_table
-from repro.multicore.perf_counters import CoreProfile, profile_chip
 from repro.multicore.power_model import CorePowerModel
-from repro.multicore.thermal import CoreThermalModel, ThermalParameters
 from repro.multicore.vrm import VRMBank, VRMParameters, VoltageRegulator
 
 __all__ = [
@@ -16,11 +14,7 @@ __all__ = [
     "Core",
     "MultiCoreChip",
     "NOMINAL_RAIL_V",
-    "CoreProfile",
-    "profile_chip",
     "VoltageRegulator",
     "VRMBank",
     "VRMParameters",
-    "CoreThermalModel",
-    "ThermalParameters",
 ]

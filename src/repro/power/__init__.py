@@ -1,11 +1,5 @@
-"""Power-electronics substrate: converter, operating point, PSU, battery."""
+"""Power-electronics substrate: converter, operating point, sensors, ATS."""
 
-from repro.power.battery import (
-    BATTERY_LEVELS,
-    Battery,
-    BatteryEquippedSystem,
-    DeratingLevel,
-)
 from repro.power.battery_economics import (
     BatteryCostAnalysis,
     CycleLifeModel,
@@ -15,12 +9,7 @@ from repro.power.battery_economics import (
 from repro.power.converter import DCDCConverter
 from repro.power.gridtie import GridTieDayResult, run_day_gridtie
 from repro.power.operating_point import OperatingPoint, solve_operating_point
-from repro.power.psu import (
-    AutomaticTransferSwitch,
-    EnergyLedger,
-    PowerSource,
-    PowerSupplyUnit,
-)
+from repro.power.psu import AutomaticTransferSwitch, PowerSource
 from repro.power.sensors import IVSensor, SensorReading
 
 __all__ = [
@@ -31,12 +20,6 @@ __all__ = [
     "SensorReading",
     "PowerSource",
     "AutomaticTransferSwitch",
-    "PowerSupplyUnit",
-    "EnergyLedger",
-    "Battery",
-    "BatteryEquippedSystem",
-    "DeratingLevel",
-    "BATTERY_LEVELS",
     "required_capacity_wh",
     "CycleLifeModel",
     "BatteryCostAnalysis",

@@ -1,20 +1,20 @@
-"""Power-delivery path: automatic transfer switch, UPS, and PSU rails.
+"""Power-delivery path: the automatic transfer switch between panel and grid.
 
 Paper Figure 8: the processor is fed from the solar panel through the DC/DC
 matching network; when solar supply drops below the power-transfer threshold
 an automatic transfer switch (ATS) falls back to grid utility (through an
 AC/DC stage), and an uninterruptible supply bridges the switchover.  Only the
 processor rail is solar-powered; the rest of the system always runs from the
-utility.
+utility.  The day engine books each step's energy per source in
+:class:`repro.core.engine.EnergyLedger`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from enum import Enum
 
-__all__ = ["PowerSource", "AutomaticTransferSwitch", "PowerSupplyUnit", "EnergyLedger"]
+__all__ = ["PowerSource", "AutomaticTransferSwitch"]
 
 log = logging.getLogger(__name__)
 
@@ -82,70 +82,3 @@ class AutomaticTransferSwitch:
                 available_solar_w, min_load_w,
             )
         return self._source
-
-
-@dataclass
-class EnergyLedger:
-    """Accumulates energy drawn from each supply [Wh].
-
-    Attributes:
-        solar_wh: Energy delivered by the panel.
-        utility_wh: Energy delivered by the grid.
-    """
-
-    solar_wh: float = 0.0
-    utility_wh: float = 0.0
-
-    def add(self, source: PowerSource, power_w: float, dt_minutes: float) -> None:
-        """Account ``power_w`` drawn from ``source`` for ``dt_minutes``."""
-        if power_w < 0:
-            raise ValueError(f"power must be >= 0, got {power_w}")
-        energy_wh = power_w * dt_minutes / 60.0
-        if source is PowerSource.SOLAR:
-            self.solar_wh += energy_wh
-        else:
-            self.utility_wh += energy_wh
-
-    @property
-    def total_wh(self) -> float:
-        """Total energy from both supplies."""
-        return self.solar_wh + self.utility_wh
-
-
-@dataclass
-class PowerSupplyUnit:
-    """A multi-rail PSU front-ending the processor VRMs.
-
-    Today's PSUs expose several output rails (paper Section 4.1); here the
-    12 V processor rail is the solar-fed one and carries ``rail_efficiency``
-    conversion loss, while auxiliary rails stay on the utility.
-
-    Attributes:
-        rail_voltage: Processor rail voltage [V].
-        rail_efficiency: Rail conversion efficiency in (0, 1].
-        ats: The transfer switch selecting the rail's upstream source.
-        ledger: Per-source energy accounting.
-    """
-
-    rail_voltage: float = 12.0
-    rail_efficiency: float = 1.0
-    ats: AutomaticTransferSwitch = field(default_factory=AutomaticTransferSwitch)
-    ledger: EnergyLedger = field(default_factory=EnergyLedger)
-
-    def __post_init__(self) -> None:
-        if self.rail_voltage <= 0:
-            raise ValueError(f"rail_voltage must be positive, got {self.rail_voltage}")
-        if not 0.0 < self.rail_efficiency <= 1.0:
-            raise ValueError(
-                f"rail_efficiency must be in (0, 1], got {self.rail_efficiency}"
-            )
-
-    def deliver(self, load_w: float, dt_minutes: float) -> float:
-        """Deliver ``load_w`` to the processor for ``dt_minutes``.
-
-        Returns the upstream power drawn (load over rail efficiency) and
-        books it against the active source.
-        """
-        upstream = load_w / self.rail_efficiency
-        self.ledger.add(self.ats.source, upstream, dt_minutes)
-        return upstream

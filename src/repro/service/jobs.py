@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.harness.parallel import SweepTask, grid_tasks
+from repro.core.campaign import campaign_tasks
+from repro.harness.parallel import SweepTask
 from repro.multicore.spec import ChipSpec
 
 __all__ = [
@@ -142,9 +143,9 @@ def _parse_task(doc: dict, where: str) -> SweepTask:
 def _parse_campaign(doc: dict) -> list[SweepTask]:
     """A campaign document -> its per-seed task grid.
 
-    Mirrors :func:`repro.core.campaign.run_campaign`'s shape: every
-    (site, month) cell is simulated ``days`` times under seeds
-    ``0 .. days-1``.
+    Expands through :func:`repro.core.campaign.campaign_tasks` (base seed
+    0), so the job simulates the days ``repro campaign`` simulates for the
+    same mix, sites, months, days, policy and faults.
     """
     if not isinstance(doc, dict):
         raise JobSpecError("'campaign' must be an object")
@@ -156,12 +157,12 @@ def _parse_campaign(doc: dict) -> list[SweepTask]:
     if not sites or not months:
         raise JobSpecError("campaign requires non-empty 'sites' and 'months'")
     try:
-        return grid_tasks(
-            (doc.get("mix", "HM2"),),
+        return campaign_tasks(
+            doc.get("mix", "HM2"),
             tuple(sites),
             tuple(months),
-            policies=(doc.get("policy", "MPPT&Opt"),),
-            seeds=tuple(range(days)),
+            days,
+            policy=doc.get("policy", "MPPT&Opt"),
             faults=doc.get("faults"),
         )
     except (ValueError, KeyError) as exc:

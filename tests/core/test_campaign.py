@@ -58,6 +58,11 @@ class TestRunCampaign:
         assert carbon.avoided_kg > 0.0
         assert 0.0 < carbon.green_fraction <= 1.0
 
+    def test_days_are_the_runners_frozen_results(self, campaign):
+        """Without a runner the campaign still runs through one, so its
+        days share the runner's read-only arrays."""
+        assert not campaign.cell("PFCI", 7).days[0].mpp_w.flags.writeable
+
     def test_rejects_zero_days(self):
         with pytest.raises(ValueError):
             run_campaign("L1", [PHOENIX_AZ], (7,), days_per_cell=0)

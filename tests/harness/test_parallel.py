@@ -272,12 +272,33 @@ class TestSweepTask:
             SweepTask("warp", "H1", "AZ", 7)
 
     def test_fixed_requires_budget(self):
-        with pytest.raises(ValueError, match="budget_w"):
-            SweepTask("fixed", "H1", "AZ", 7)
+        """A fixed task needs a budget, and no other kind takes one."""
+        for kind, extra in (
+            ("fixed", {}),
+            ("mppt", {"budget_w": 50.0}),
+            ("battery", {"derating": 0.81, "budget_w": 50.0}),
+        ):
+            with pytest.raises(ValueError, match="budget_w"):
+                SweepTask(kind, "H1", "AZ", 7, **extra)
 
     def test_battery_requires_derating(self):
-        with pytest.raises(ValueError, match="derating"):
-            SweepTask("battery", "H1", "AZ", 7)
+        """A battery task needs a derating, and no other kind takes one."""
+        for kind, extra in (
+            ("battery", {}),
+            ("mppt", {"derating": 0.5}),
+            ("fixed", {"budget_w": 75.0, "derating": 0.81}),
+        ):
+            with pytest.raises(ValueError, match="derating"):
+                SweepTask(kind, "H1", "AZ", 7, **extra)
+
+    def test_only_mppt_tasks_take_a_policy(self):
+        """A baseline task keeps the default policy, which its cache key
+        ignores; any other policy would make equal work unequal."""
+        for kind, extra in (("fixed", {"budget_w": 75.0}),
+                            ("battery", {"derating": 0.81})):
+            with pytest.raises(ValueError, match="policy"):
+                SweepTask(kind, "H1", "AZ", 7, policy="MPPT&RR", **extra)
+            SweepTask(kind, "H1", "AZ", 7, policy="MPPT&Opt", **extra)
 
     def test_station_aliases_canonicalize_to_one_identity(self):
         """Regression: 'AZ' is an alias of station 'PFCI'; a task built from

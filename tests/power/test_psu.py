@@ -1,13 +1,8 @@
-"""Unit tests for the ATS / PSU / energy ledger."""
+"""Unit tests for the automatic transfer switch."""
 
 import pytest
 
-from repro.power.psu import (
-    AutomaticTransferSwitch,
-    EnergyLedger,
-    PowerSource,
-    PowerSupplyUnit,
-)
+from repro.power.psu import AutomaticTransferSwitch, PowerSource
 
 
 class TestAutomaticTransferSwitch:
@@ -45,39 +40,3 @@ class TestAutomaticTransferSwitch:
         with pytest.raises(ValueError):
             AutomaticTransferSwitch(margin_fraction=-0.1)
 
-
-class TestEnergyLedger:
-    def test_accumulates_per_source(self):
-        ledger = EnergyLedger()
-        ledger.add(PowerSource.SOLAR, 120.0, 30.0)  # 60 Wh
-        ledger.add(PowerSource.UTILITY, 60.0, 60.0)  # 60 Wh
-        assert ledger.solar_wh == pytest.approx(60.0)
-        assert ledger.utility_wh == pytest.approx(60.0)
-        assert ledger.total_wh == pytest.approx(120.0)
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            EnergyLedger().add(PowerSource.SOLAR, -1.0, 10.0)
-
-
-class TestPowerSupplyUnit:
-    def test_delivery_books_energy(self):
-        psu = PowerSupplyUnit()
-        psu.ats.update(200.0, 100.0)  # engage solar
-        drawn = psu.deliver(120.0, 30.0)
-        assert drawn == pytest.approx(120.0)
-        assert psu.ledger.solar_wh == pytest.approx(60.0)
-
-    def test_rail_efficiency_increases_upstream_draw(self):
-        psu = PowerSupplyUnit(rail_efficiency=0.8)
-        drawn = psu.deliver(80.0, 60.0)
-        assert drawn == pytest.approx(100.0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rail_voltage": 0.0},
-        {"rail_efficiency": 0.0},
-        {"rail_efficiency": 1.2},
-    ])
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            PowerSupplyUnit(**kwargs)

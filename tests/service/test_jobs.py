@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.environment.irradiance import default_seed
+from repro.environment.locations import OAK_RIDGE_TN, PHOENIX_AZ
 from repro.harness.parallel import SweepTask
 from repro.service.jobs import (
     CANCELLED,
@@ -45,12 +47,19 @@ def test_task_list_shape_deduplicates_preserving_order():
 
 
 def test_campaign_shape_expands_seeds():
+    """A campaign job simulates ``run_campaign``'s realizations: seeds
+    ``default_seed(station, month) + i``, so ``repro campaign`` and the
+    service share one answer and one set of cache entries."""
     spec = JobSpec.from_dict({"campaign": {
         "mix": "HM2", "sites": ["AZ", "TN"], "months": [1, 7], "days": 3,
     }})
-    # 2 sites x 2 months x 3 seeds
-    assert len(spec.tasks) == 12
-    assert {t.seed for t in spec.tasks} == {0, 1, 2}
+    # 2 sites x 2 months x 3 seeds, in (station, month, realization) order
+    assert [(t.location_code, t.month, t.seed) for t in spec.tasks] == [
+        (location.code, month, default_seed(location, month) + i)
+        for location in (PHOENIX_AZ, OAK_RIDGE_TN)
+        for month in (1, 7)
+        for i in range(3)
+    ]
 
 
 def test_solver_and_label_fields():
@@ -83,6 +92,7 @@ def test_faults_field_reaches_the_task():
     ({"campaign": {"sites": [], "months": [7]}}, "non-empty"),
     ({"campaign": {"sites": ["AZ"], "months": [7], "days": 0}}, "days"),
     ({"site": "NOWHERE", "month": 7}, "NOWHERE"),
+    ({"kind": "mppt", "site": "AZ", "month": 7, "derating": 0.5}, "derating"),
 ])
 def test_malformed_specs_name_the_offense(doc, match):
     with pytest.raises(JobSpecError, match=match):
