@@ -90,7 +90,7 @@ def test_surface_speedup(out_dir):
         ),
     }
 
-    # Pay the surface build/load once, outside the timed region: a sweep
+    # Pay the surface build once, outside the timed region: a sweep
     # amortizes it over thousands of days, so steady-state is the honest
     # per-day number (the build cost is reported separately below).
     start = time.perf_counter()
@@ -155,7 +155,7 @@ def test_surface_speedup(out_dir):
     lines = [
         f"one full-resolution day (1-minute steps), {MIX} @ {SITE} month {MONTH}",
         f"best of {repeats} runs, each on an empty environment memo; "
-        f"surface build/load paid up front "
+        f"surface build paid up front "
         f"({warm_s * 1e3:.0f} ms, amortized over a sweep):",
         *rows,
         f"geometric-mean speedup: {geomean:.1f}x "

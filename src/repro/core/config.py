@@ -31,8 +31,6 @@ class SolarCoreConfig:
         step_minutes: Simulation time step [minutes].
         ats_margin: Headroom fraction the transfer switch requires before
             engaging solar (hysteresis).
-        utility_level: DVFS level used when running from the utility (the
-            chip then behaves as a conventional CMP at full speed).
         sensor_averaging: Number of I/V sensor samples averaged per
             controller reading (1 = raw).  Real MPPT front-ends average
             ADC bursts; the sensor-noise ablation shows why.
@@ -82,7 +80,6 @@ class SolarCoreConfig:
     max_track_iterations: int = 64
     step_minutes: float = 1.0
     ats_margin: float = 0.05
-    utility_level: int | None = None
     sensor_averaging: int = 1
     adaptive_margin: bool = False
     adaptive_margin_floor: float = 0.01

@@ -32,6 +32,7 @@ from repro.multicore.chip import MultiCoreChip
 from repro.power.converter import DCDCConverter
 from repro.power.operating_point import OperatingPoint, solve_operating_point
 from repro.power.sensors import IVSensor, SensorDropout, SensorReading
+from repro.power.surface import get_surfaces
 from repro.pv.curves import PVDevice
 from repro.pv.mpp import MaxPowerPoint
 from repro.telemetry import hub as telemetry_hub
@@ -104,9 +105,12 @@ class SolarCoreController:
         self.tuner = tuner
         self.config = config or SolarCoreConfig()
         self.sensor = sensor or IVSensor()
-        #: Optional :class:`~repro.power.surface.OperatingSurfaces` set by
-        #: the engine in table-solver mode; None keeps the exact solvers.
-        self.surfaces = None
+        #: The array's :class:`~repro.power.surface.OperatingSurfaces` in
+        #: table-solver mode; None keeps the exact solvers (exact mode, or
+        #: a device the tables cannot represent).
+        self.surfaces = (
+            get_surfaces(array) if self.config.solver == "table" else None
+        )
         #: Per-event margin override set by an adaptive-margin supervisor
         #: (None = use ``config.power_margin``).
         self.margin_override: float | None = None

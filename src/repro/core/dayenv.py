@@ -7,9 +7,10 @@ a cell -- each mix, policy, budget and de-rating swept over it -- steps
 through the same environment.  A :class:`DayEnvironment` holds it: the
 trace, the per-step cell temperature, and the per-step MPP.  In exact
 mode the MPP comes from :func:`~repro.pv.mpp.find_mpp`.  In table mode
-the environment holds the interpolation surface's scalar MPP points,
-which the per-minute loop and fastday's event steps read, and its
-vectorized ``pmpp`` array, which fastday's spans read.
+it comes from one vectorized lookup of the interpolation surface: the
+``pmpp`` array, which fastday's spans read, and the MPP points built
+from the same powers and voltages, which the per-minute loop and
+fastday's event steps read.  Both paths therefore see one MPP series.
 
 :func:`prepare_day` is the one prologue behind every ``*_day_engine``
 factory and the only place a day's environment is resolved.  It names
@@ -50,7 +51,7 @@ from repro.environment.trace import EnvironmentTrace
 from repro.faults import FaultKit, build_fault_kit
 from repro.pv.array import PVArray
 from repro.pv.module import PVModule
-from repro.pv.mpp import find_mpp
+from repro.pv.mpp import MaxPowerPoint, find_mpp
 from repro.telemetry import hub as telemetry_hub
 
 __all__ = [
@@ -81,17 +82,22 @@ def _readonly(values: np.ndarray, n: int) -> np.ndarray:
 
 
 class _SurfacePoints:
-    """A table environment's scalar MPP points, each looked up on first read.
+    """A table environment's MPP points, each built on first read.
 
+    A point repeats its step of the environment's vectorized MPP power
+    and voltage, so every reader of the environment sees one series.
     Fastday reads only its event steps, a few dozen a day; the per-minute
     loop reads every step.  A point is a pure function of its step, so
     two threads filling one slot store equal values.
     """
 
-    __slots__ = ("_surfaces", "_irradiance", "_cell_temp", "_points")
+    __slots__ = ("_power", "_voltage", "_irradiance", "_cell_temp", "_points")
 
-    def __init__(self, surfaces, irradiance: list, cell_temp: list) -> None:
-        self._surfaces = surfaces
+    def __init__(
+        self, power: list, voltage: list, irradiance: list, cell_temp: list
+    ) -> None:
+        self._power = power
+        self._voltage = voltage
         self._irradiance = irradiance
         self._cell_temp = cell_temp
         self._points = [None] * len(irradiance)
@@ -102,9 +108,17 @@ class _SurfacePoints:
     def __getitem__(self, index: int):
         point = self._points[index]
         if point is None:
-            point = self._points[index] = self._surfaces.mpp(
-                self._irradiance[index], self._cell_temp[index]
-            )
+            irradiance = self._irradiance[index]
+            cell_temp = self._cell_temp[index]
+            if irradiance > 0.0:
+                power = self._power[index]
+                voltage = self._voltage[index]
+                point = MaxPowerPoint(
+                    voltage, power / voltage, power, irradiance, cell_temp
+                )
+            else:
+                point = MaxPowerPoint(0.0, 0.0, 0.0, irradiance, cell_temp)
+            self._points[index] = point
         return point
 
 
@@ -124,10 +138,10 @@ class DayEnvironment:
         cell_temp: Per-step cell temperature [C] (None when the day
             solves each step itself).
         mpp: Per-step :class:`~repro.pv.mpp.MaxPowerPoint` sequence:
-            exact, or the surface's scalar points in table mode, each
-            looked up on first read (None likewise).
+            exact, or in table mode built on first read from the
+            surface's vectorized lookup (None likewise).
         pmpp: Per-step MPP power [W] from the surface's vectorized
-            lookup, which fastday reads; None unless the environment
+            lookup, the powers of ``mpp``; None unless the environment
             holds surface points.
     """
 
@@ -205,8 +219,10 @@ class DayEnvironment:
             cell_temp = surfaces.vectorized.cell_temperature_from_ambient(
                 self.irradiance, self.ambient_c
             )
-            self.mpp = _SurfacePoints(surfaces, irradiance, cell_temp.tolist())
-            pmpp, _ = surfaces.mpp_arrays(self.irradiance, cell_temp)
+            pmpp, vmpp = surfaces.mpp_arrays(self.irradiance, cell_temp)
+            self.mpp = _SurfacePoints(
+                pmpp.tolist(), vmpp.tolist(), irradiance, cell_temp.tolist()
+            )
             self.pmpp = _readonly(pmpp, self.steps)
         self.cell_temp = _readonly(cell_temp, self.steps)
 

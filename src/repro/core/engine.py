@@ -258,8 +258,8 @@ class DayEngine:
             self.ats = FaultyATS(self.ats, self.faults)
         self.ledger = EnergyLedger()
         # Table-solver mode: resolve the interpolation surfaces for the
-        # engine's per-step MPP solves (fault days that need them) and for
-        # the policy's controller (if any).  get_surfaces returns None —
+        # engine's per-step MPP solves (fault days that need them).  A
+        # policy's controller resolves its own.  get_surfaces returns None —
         # with one warning per device type — for devices the closed form
         # cannot represent (fault wrappers, shaded strings), in which case
         # the run silently stays on the exact solvers.
@@ -272,12 +272,6 @@ class DayEngine:
             from repro.power.surface import get_surfaces
 
             self.surfaces = get_surfaces(self.array)
-            controller = getattr(self.policy, "controller", None)
-            if controller is not None:
-                if controller.array is self.array:
-                    controller.surfaces = self.surfaces
-                else:
-                    controller.surfaces = get_surfaces(controller.array)
             self.fastday_decline = fastday.decline_reason(self)
 
     def run(self):

@@ -42,20 +42,6 @@ __all__ = [
 ]
 
 
-def _apply_utility_level(chip: MultiCoreChip, level: int | None) -> None:
-    """Run the chip at the utility (grid) operating point.
-
-    ``None`` means full speed — every core at its own table's top level
-    (the heterogeneity-safe default); an explicit level is clamped to
-    each core's table depth.
-    """
-    if level is None:
-        chip.set_all_max()
-    else:
-        for core in chip.cores:
-            core.set_level(min(level, core.table.max_level))
-
-
 class MPPTPolicy(SupplyPolicy):
     """The SolarCore policy day: MPP tracking plus IC/RR/Opt load tuning.
 
@@ -93,7 +79,6 @@ class MPPTPolicy(SupplyPolicy):
         self.tracking_events = 0
         self._last_track_minute = -float("inf")
         self._last_track_mpp: float | None = None
-        self._utility_level = cfg.utility_level
 
     def floor_power(self, ctx: StepContext) -> float:
         return self.chip.floor_power_at(ctx.minute, with_gating=self.cfg.enable_pcpg)
@@ -198,10 +183,10 @@ class MPPTPolicy(SupplyPolicy):
         )
 
     def utility_step(self, ctx: StepContext) -> StepSample:
-        # Conventional CMP on grid power.
+        # Conventional CMP on grid power, every core at its top level.
         chip = self.chip
         chip.ungate_all()
-        _apply_utility_level(chip, self._utility_level)
+        chip.set_all_max()
         consumed = chip.total_power_at(ctx.minute)
         chip.advance(ctx.minute, ctx.dt)
         return StepSample(
@@ -237,7 +222,6 @@ class FixedBudgetPolicy(SupplyPolicy):
         self.name = f"Fixed-{budget_w:.0f}W"
         self.tracking_events = 0
         self._last_alloc_minute = -float("inf")
-        self._utility_level = cfg.utility_level
 
     def solar_eligible(self, ctx: StepContext) -> bool:
         # Solar-eligible only when the panel covers the full fixed budget
@@ -282,7 +266,7 @@ class FixedBudgetPolicy(SupplyPolicy):
     def utility_step(self, ctx: StepContext) -> StepSample:
         chip = self.chip
         chip.ungate_all()
-        _apply_utility_level(chip, self._utility_level)
+        chip.set_all_max()
         consumed = chip.total_power_at(ctx.minute)
         chip.advance(ctx.minute, ctx.dt)
         self._last_alloc_minute = -float("inf")

@@ -35,54 +35,28 @@ tabulated domain (or on dark panels, or for devices the closed form
 cannot represent) fall back to the exact solvers and count
 ``surface.fallbacks``; the tables never extrapolate.
 
-Persistence is content-addressed like
-:class:`~repro.harness.parallel.DiskResultCache`: the ``.npz`` file
-name is a SHA-256 over the surface format version, the PV/converter
-model *source files*, the device's electrical identity, and the grid
-spec — change any of them and the old table can never be read again.
-Set ``SOLARCORE_SURFACE_DIR`` to persist tables across processes;
-without it each process builds (once) in memory.
+:func:`get_surfaces` builds each surface set once per process and keeps
+it in memory.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
-import json
 import logging
 import math
-import os
 import threading
-from dataclasses import asdict, dataclass
-from functools import lru_cache
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from repro.atomicio import write_atomic
 from repro.power.operating_point import OperatingPoint, solve_operating_point
 from repro.pv.mpp import MaxPowerPoint, find_mpp
 from repro.pv.vector import VectorizedDevice, device_scaling, lambertw_of_exp_array
 from repro.telemetry import hub as telemetry_hub
 
-__all__ = [
-    "SURFACE_FORMAT_VERSION",
-    "SurfaceSpec",
-    "OperatingSurfaces",
-    "get_surfaces",
-    "model_fingerprint",
-    "surface_key",
-]
+__all__ = ["SurfaceSpec", "OperatingSurfaces", "get_surfaces"]
 
 log = logging.getLogger(__name__)
-
-#: Bump to invalidate every persisted surface (layout or semantic changes
-#: that do not show up in the model source fingerprint).
-SURFACE_FORMAT_VERSION = 1
-
-#: Environment variable naming the directory persisted surfaces live in.
-SURFACE_DIR_ENV = "SOLARCORE_SURFACE_DIR"
 
 #: Safety factor between the measured max error and the declared bound.
 _BOUND_SAFETY = 3.0
@@ -149,48 +123,6 @@ class SurfaceSpec:
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be >= 4, got {getattr(self, name)}")
 
-    def key(self) -> str:
-        """A stable textual identity of the grid geometry."""
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-#: Model source files hashed into every surface fingerprint: the modules
-#: whose math determines a table's values.  The whole-package
-#: ``code_fingerprint`` would also work but would invalidate surfaces on
-#: every unrelated edit; this scoped set invalidates exactly when the
-#: tabulated physics can change.
-_MODEL_MODULES = (
-    "pv/params.py",
-    "pv/cell.py",
-    "pv/module.py",
-    "pv/array.py",
-    "pv/mpp.py",
-    "pv/vector.py",
-    "power/converter.py",
-    "power/operating_point.py",
-    "power/surface.py",
-)
-
-
-@lru_cache(maxsize=1)
-def model_fingerprint() -> str:
-    """SHA-256 over the PV/converter model sources (scoped invalidation)."""
-    package_root = Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
-    for rel in _MODEL_MODULES:
-        digest.update(rel.encode())
-        digest.update(b"\0")
-        digest.update((package_root / rel).read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
-def surface_key(device_key: str, spec: SurfaceSpec) -> str:
-    """The content address of one surface set (format|model|device|grid)."""
-    return hashlib.sha256(
-        f"{SURFACE_FORMAT_VERSION}|{model_fingerprint()}|{device_key}|{spec.key()}".encode()
-    ).hexdigest()
-
 
 def _bisect_current_root(
     vd: VectorizedDevice,
@@ -253,8 +185,8 @@ class _CellTerms:
 class OperatingSurfaces:
     """Interpolated MPP / operating-point / right-branch tables.
 
-    Build with :meth:`build` (or load through :func:`get_surfaces`);
-    query with :meth:`mpp`, :meth:`operating_point`,
+    Build with :meth:`build` (or get the process's shared set through
+    :func:`get_surfaces`); query with :meth:`mpp`, :meth:`operating_point`,
     :meth:`right_branch_voltage`, and the vectorized :meth:`mpp_arrays`.
     Every query that cannot be answered from the tables is delegated to
     the exact solvers on ``self.device`` and counted in
@@ -273,13 +205,16 @@ class OperatingSurfaces:
         voc: np.ndarray,
         vnorm: np.ndarray,
         vright: np.ndarray,
-        error_report: dict,
     ) -> None:
         self.device = device
         self.vectorized = vectorized
         self.spec = spec
-        self.key = surface_key(vectorized.describe(), spec)
-        self.error_report = error_report
+        #: What the tables depend on: the device's electrical identity and
+        #: the grid (the :func:`get_surfaces` registry key).
+        self.key = (vectorized.describe(), spec)
+        #: The build's measured errors and declared bounds (see
+        #: :meth:`_measure_error`).
+        self.error_report: dict = {}
         self.lookups = 0
         self.fallbacks = 0
         # One-entry environment memo: within one tracking event the
@@ -287,11 +222,9 @@ class OperatingSurfaces:
         # axis lookups + MPP/Voc bilinears are identical across them.
         self._env_memo: tuple = (None, None, None)
 
+        # The MPP tables stay arrays for the vectorized mpp_arrays.
         self._vmpp = vmpp
         self._ln_pmpp = ln_pmpp
-        self._voc = voc
-        self._vnorm = vnorm
-        self._vright = vright
         # Pure-python nested lists for the scalar hot path: element access
         # is ~5x cheaper than going through numpy scalar boxing.
         self._vmpp_l = vmpp.tolist()
@@ -400,7 +333,6 @@ class OperatingSurfaces:
             voc=voc,
             vnorm=vnorm,
             vright=vright,
-            error_report={},
         )
         surfaces.error_report = surfaces._measure_error()
         return surfaces
@@ -408,8 +340,10 @@ class OperatingSurfaces:
     def _measure_error(self) -> dict:
         """Compare the tables to the exact solvers on a seeded sample.
 
-        Returns the report dict stored on the surface: the measured
-        maxima plus the declared bounds (measured x safety factor).
+        The tables are read through the helpers the queries use, so the
+        declared bounds certify the code that serves queries.  Returns
+        the report dict stored on the surface: the measured maxima plus
+        the declared bounds (measured x safety factor).
         """
         s = self.spec
         n = s.error_samples
@@ -427,7 +361,8 @@ class OperatingSurfaces:
         for i in range(n):
             gi, ti = float(g[i]), float(t[i])
             exact = find_mpp(device, gi, ti)
-            p_t, v_t, _ = self._mpp_interp(gi, ti)
+            env = self._env(gi, ti)
+            p_t, v_t = env[4], env[5]
             mpp_power_rel = max(mpp_power_rel, abs(p_t - exact.power) / exact.power)
             mpp_voltage_rel = max(
                 mpp_voltage_rel, abs(v_t - exact.voltage) / exact.voltage
@@ -444,14 +379,14 @@ class OperatingSurfaces:
                 rtol=1e-12,
             )
             p_exact = v_exact * v_exact / r
-            v_tab = self._vnorm_interp(gi, ti, r) * self._voc_interp(gi, ti)
+            v_tab = self._load_line_voltage(env, r)
             p_tab = v_tab * v_tab / r
             op_power_rel = max(op_power_rel, abs(p_tab - p_exact) / max(p_exact, 1e-12))
 
             # Right branch: the controller cares about delivered power
             # at the interpolated voltage, relative to the panel's max.
             target = float(pfrac[i]) * p_t
-            v_r = self._vright_interp(gi, ti, target / p_t)
+            v_r = self._right_branch_at(env, target / p_t)
             p_at = device.power(v_r, gi, ti)
             right_power_rel = max(right_power_rel, abs(p_at - target) / exact.power)
 
@@ -562,35 +497,6 @@ class OperatingSurfaces:
         ft1 = 1.0 - ft
         return (c00 * ft1 + c01 * ft) * (1.0 - fg) + (c10 * ft1 + c11 * ft) * fg
 
-    def _mpp_interp(self, g: float, t: float) -> tuple[float, float, float]:
-        """(Pmpp, Vmpp, Voc) interpolated at an in-domain (G, T)."""
-        ig, fg = self._g_axis(g)
-        it, ft = self._t_axis(t)
-        power = math.exp(self._bilinear(self._ln_pmpp_l, ig, fg, it, ft))
-        voltage = self._bilinear(self._vmpp_l, ig, fg, it, ft)
-        voc = self._bilinear(self._voc_l, ig, fg, it, ft)
-        return power, voltage, voc
-
-    def _voc_interp(self, g: float, t: float) -> float:
-        ig, fg = self._g_axis(g)
-        it, ft = self._t_axis(t)
-        return self._bilinear(self._voc_l, ig, fg, it, ft)
-
-    def _vnorm_interp(self, g: float, t: float, rho: float) -> float:
-        ig, fg = self._g_axis(g)
-        it, ft = self._t_axis(t)
-        pmpp, vmpp, _ = self._mpp_interp(g, t)
-        ir, fr = self._r_axis(math.log(rho * pmpp / (vmpp * vmpp)))
-        logit = self._bicubic_x(self._vnorm_l, ig, fg, it, ft, ir, fr)
-        return 1.0 / (1.0 + math.exp(-logit))
-
-    def _vright_interp(self, g: float, t: float, pfrac: float) -> float:
-        ig, fg = self._g_axis(g)
-        it, ft = self._t_axis(t)
-        ip, fp = self._p_axis(pfrac)
-        voc = self._bilinear(self._voc_l, ig, fg, it, ft)
-        return self._trilinear(self._vright_l, ig, fg, it, ft, ip, fp) * voc
-
     def _env(
         self, irradiance: float, cell_temp_c: float
     ) -> tuple[int, float, int, float, float, float, float] | None:
@@ -616,6 +522,28 @@ class OperatingSurfaces:
             env = (ig, fg, it, ft, pmpp, vmpp, voc)
         self._env_memo = (irradiance, cell_temp_c, env)
         return env
+
+    def _load_line_voltage(self, env: tuple, rho: float) -> float | None:
+        """PV voltage where the load line ``I = V/rho`` meets the I-V curve.
+
+        ``None`` means ``rho`` left the tabulated axis.
+        """
+        ig, fg, it, ft, pmpp, vmpp, voc = env
+        ax_r = self._r_axis(math.log(rho * pmpp / (vmpp * vmpp)))
+        if ax_r is None:
+            return None
+        ir, fr = ax_r
+        logit = self._bicubic_x(self._vnorm_l, ig, fg, it, ft, ir, fr)
+        return voc / (1.0 + math.exp(-logit))
+
+    def _right_branch_at(self, env: tuple, pfrac: float) -> float | None:
+        """The V > Vmpp where ``P(V) = pfrac * Pmpp``; ``None`` off the axis."""
+        ax_p = self._p_axis(pfrac)
+        if ax_p is None:
+            return None
+        ig, fg, it, ft, _, _, voc = env
+        ip, fp = ax_p
+        return self._trilinear(self._vright_l, ig, fg, it, ft, ip, fp) * voc
 
     def _note_fallback(self) -> None:
         self.fallbacks += 1
@@ -681,19 +609,16 @@ class OperatingSurfaces:
             return solve_operating_point(
                 self.device, converter, load_resistance, irradiance, cell_temp_c
             )
-        ig, fg, it, ft, pmpp, vmpp, voc = env
         if load_resistance == float("inf"):
+            voc = env[6]
             return OperatingPoint(voc, 0.0, converter.output_voltage(voc), 0.0)
         rho = converter.reflected_resistance(load_resistance)
-        ax_r = self._r_axis(math.log(rho * pmpp / (vmpp * vmpp)))
-        if ax_r is None:
+        v_pv = self._load_line_voltage(env, rho)
+        if v_pv is None:
             self._note_fallback()
             return solve_operating_point(
                 self.device, converter, load_resistance, irradiance, cell_temp_c
             )
-        ir, fr = ax_r
-        logit = self._bicubic_x(self._vnorm_l, ig, fg, it, ft, ir, fr)
-        v_pv = voc / (1.0 + math.exp(-logit))
         i_pv = v_pv / rho
         return OperatingPoint(
             pv_voltage=v_pv,
@@ -718,13 +643,13 @@ class OperatingSurfaces:
             return None
         self.lookups += 1
         env = self._env(irradiance, cell_temp_c)
-        ax_p = self._p_axis(target_power / mpp_power)
-        if env is None or ax_p is None:
+        voltage = (
+            None if env is None
+            else self._right_branch_at(env, target_power / mpp_power)
+        )
+        if voltage is None:
             self._note_fallback()
-            return None
-        ig, fg, it, ft, _, _, voc = env
-        ip, fp = ax_p
-        return self._trilinear(self._vright_l, ig, fg, it, ft, ip, fp) * voc
+        return voltage
 
     def mpp_arrays(
         self, irradiance: np.ndarray, temperature_c: np.ndarray
@@ -769,88 +694,11 @@ class OperatingSurfaces:
                 vmpp.flat[idx] = exact.voltage
         return pmpp, vmpp
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, directory: str | Path) -> Path:
-        """Persist the tables under their content address (atomically)."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{self.key}.npz"
-        buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer,
-            meta=np.frombuffer(
-                json.dumps(
-                    {
-                        "format": SURFACE_FORMAT_VERSION,
-                        "key": self.key,
-                        "spec": asdict(self.spec),
-                        "device": self.vectorized.describe(),
-                        "error_report": self.error_report,
-                    }
-                ).encode(),
-                dtype=np.uint8,
-            ),
-            vmpp=self._vmpp,
-            ln_pmpp=self._ln_pmpp,
-            voc=self._voc,
-            vnorm=self._vnorm,
-            vright=self._vright,
-        )
-        return write_atomic(path, buffer.getvalue())
-
-    @classmethod
-    def load(cls, device, spec: SurfaceSpec, directory: str | Path) -> "OperatingSurfaces | None":
-        """Load the surface for (device, spec) from ``directory``, if present.
-
-        A corrupt or mismatched file is deleted with a warning and
-        reported as a miss — the caller rebuilds.
-        """
-        vd = device_scaling(device)
-        if vd is None:
-            return None
-        key = surface_key(vd.describe(), spec)
-        path = Path(directory) / f"{key}.npz"
-        if not path.is_file():
-            return None
-        try:
-            with np.load(path) as data:
-                meta = json.loads(bytes(data["meta"].tobytes()).decode())
-                if meta["format"] != SURFACE_FORMAT_VERSION:
-                    raise ValueError(
-                        f"surface format {meta['format']} != {SURFACE_FORMAT_VERSION}"
-                    )
-                if meta["key"] != key:
-                    raise ValueError("surface key mismatch")
-                return cls(
-                    device,
-                    vd,
-                    spec,
-                    vmpp=data["vmpp"],
-                    ln_pmpp=data["ln_pmpp"],
-                    voc=data["voc"],
-                    vnorm=data["vnorm"],
-                    vright=data["vright"],
-                    error_report=meta["error_report"],
-                )
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            log.warning(
-                "persisted surface %s is unreadable (%s); deleting and rebuilding",
-                path,
-                exc,
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
     def report(self) -> str:
         """The error contract as human-readable lines (CI artifact body)."""
         rep = self.error_report
         lines = [
-            f"surface {self.key[:16]}  grid "
+            "surface grid "
             f"{self.spec.n_g}x{self.spec.n_t} (MPP), "
             f"{self.spec.n_g}x{self.spec.n_t}x{self.spec.n_rho} (operating point), "
             f"{self.spec.n_g}x{self.spec.n_t}x{self.spec.n_pfrac} (right branch)",
@@ -866,8 +714,8 @@ class OperatingSurfaces:
         return "\n".join(lines)
 
 
-#: In-process registry: one surface set per (model, device, spec).
-_REGISTRY: dict[str, OperatingSurfaces] = {}
+#: In-process registry: one surface set per (device identity, spec).
+_REGISTRY: dict[tuple, OperatingSurfaces] = {}
 
 #: Serializes registry misses, so concurrent first uses build once.
 _REGISTRY_LOCK = threading.Lock()
@@ -876,17 +724,12 @@ _REGISTRY_LOCK = threading.Lock()
 _UNSUPPORTED_WARNED: set[str] = set()
 
 
-def get_surfaces(
-    device,
-    spec: SurfaceSpec | None = None,
-    cache_dir: str | Path | None = None,
-) -> OperatingSurfaces | None:
-    """The surface set for ``device``, building or loading on first use.
+def get_surfaces(device, spec: SurfaceSpec | None = None) -> OperatingSurfaces | None:
+    """The surface set for ``device``, built on first use in this process.
 
     Returns None — and logs why, once per device type and process — when
     the device has no closed-form vectorization; callers then stay on the
-    exact solvers.  ``cache_dir`` (default: ``$SOLARCORE_SURFACE_DIR``)
-    persists built tables across processes.
+    exact solvers.
     """
     vd = device_scaling(device)
     if vd is None:
@@ -902,27 +745,14 @@ def get_surfaces(
             )
         return None
     spec = spec or SurfaceSpec()
-    key = surface_key(vd.describe(), spec)
+    key = (vd.describe(), spec)
     cached = _REGISTRY.get(key)
     if cached is None:
         with _REGISTRY_LOCK:
             cached = _REGISTRY.get(key)
             if cached is None:
-                cached = _REGISTRY[key] = _load_or_build(device, spec, cache_dir)
+                cached = _REGISTRY[key] = OperatingSurfaces.build(device, spec)
     # Reuse the tables but serve fallbacks from the caller's device.
     if cached.device is not device:
         cached.device = device
     return cached
-
-
-def _load_or_build(device, spec: SurfaceSpec, cache_dir) -> OperatingSurfaces:
-    """A registry miss: load the surface set from disk, else build (and save) it."""
-    directory = cache_dir if cache_dir is not None else os.environ.get(SURFACE_DIR_ENV)
-    surfaces = None
-    if directory:
-        surfaces = OperatingSurfaces.load(device, spec, directory)
-    if surfaces is None:
-        surfaces = OperatingSurfaces.build(device, spec)
-        if directory:
-            surfaces.save(directory)
-    return surfaces

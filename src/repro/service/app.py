@@ -662,7 +662,9 @@ class SolarCoreService:
         started = self._job_started_s.pop(job.job_id, None)
         if started is not None:
             self._durations_s.append(time.perf_counter() - started)
-        event = self._job_done.get(job.job_id)
+        # Waiters already hold the event; wait_terminal on a job without
+        # one returns at once.
+        event = self._job_done.pop(job.job_id, None)
         if event is not None:
             event.set()
         if self.ledger is None:

@@ -497,6 +497,8 @@ class JobTable:
         subs = self._subs.get(sub.job_id, [])
         if sub in subs:
             subs.remove(sub)
+            if not subs:
+                del self._subs[sub.job_id]
 
     def _notification(self, job: Job) -> dict:
         return {"type": "job", **job.status()}

@@ -48,6 +48,9 @@ DAYS = [
     for cell in CELLS
 ]
 
+#: The days whose results record per-step series (not the battery's).
+SERIES_DAYS = [day for day in DAYS if KINDS[day.values[0]]["kind"] != "battery"]
+
 
 def task(kind: str, cell: tuple[str, int]) -> SweepTask:
     return SweepTask(mix_name="HM2", location_code=cell[0], month=cell[1],
@@ -231,3 +234,17 @@ class TestEventParity:
                 )
         if KINDS[kind]["kind"] == "mppt":
             assert switches > 0
+
+
+class TestSeriesParity:
+    """The batched day and the scalar loop read one MPP series."""
+
+    @pytest.mark.parametrize("kind, cell", SERIES_DAYS)
+    def test_mpp_and_supply_series_byte_identical(self, kind, cell, monkeypatch):
+        batched = run(kind, cell)
+        monkeypatch.setattr(fastday, "run_fast", lambda engine, tel: False)
+        reference = run(kind, cell)
+        for name in ("mpp_w", "on_solar"):
+            left, right = getattr(batched, name), getattr(reference, name)
+            assert (left.dtype, left.shape) == (right.dtype, right.shape), name
+            assert left.tobytes() == right.tobytes(), name

@@ -388,7 +388,6 @@ class TestConfigKeyRoundTrip:
         "max_track_iterations": 65,
         "step_minutes": 2.5,
         "ats_margin": 0.07,
-        "utility_level": 3,
         "sensor_averaging": 2,
         "adaptive_margin": True,
         "adaptive_margin_floor": 0.02,

@@ -214,7 +214,6 @@ class TestIdentity:
         from repro.power import surface as surface_mod
 
         monkeypatch.setattr(surface_mod, "_REGISTRY", {})
-        monkeypatch.delenv(surface_mod.SURFACE_DIR_ENV, raising=False)
         real_build = OperatingSurfaces.build.__func__
         builds = []
 
@@ -242,17 +241,3 @@ class TestIdentity:
             thread.join(timeout=60)
         assert len(builds) == 1
         assert len(got) == 2 and got[0] is got[1]
-
-    def test_persistence_roundtrip(self, surfaces, tmp_path):
-        path = surfaces.save(tmp_path)
-        assert path.exists()
-        loaded = OperatingSurfaces.load(surfaces.device, surfaces.spec, tmp_path)
-        assert loaded is not None
-        assert loaded.key == surfaces.key
-        g, t = 700.0, 45.0
-        assert loaded.mpp(g, t) == surfaces.mpp(g, t)
-
-    def test_corrupt_cache_file_rebuilds(self, surfaces, tmp_path):
-        path = surfaces.save(tmp_path)
-        path.write_bytes(b"not an npz")
-        assert OperatingSurfaces.load(surfaces.device, surfaces.spec, tmp_path) is None

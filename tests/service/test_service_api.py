@@ -228,3 +228,34 @@ def test_snapshot_says_which_day_path_ran():
             assert message["timers"]["controller.track"]["count"] > 0
 
     run_async(main())
+
+
+def test_terminal_jobs_leave_only_their_table_entries(
+    harness_factory, gated_compute
+):
+    """A finished job keeps its JobTable entry and nothing else: no done
+    event, and no subscriber list once its last subscription closes."""
+
+    async def main():
+        gated_compute.release()
+        async with harness_factory() as h:
+            docs = [
+                await h.client.submit(dict(SPEC, month=month), wait=True)
+                for month in (1, 4, 7, 10)
+            ]
+            assert [doc["state"] for doc in docs] == [DONE] * 4
+            ws = await h.client.ws(f"/ws/jobs/{docs[-1]['job_id']}")
+            states = [m["state"] for m in await ws.drain_until_closed()]
+            assert states[-1] == DONE
+            await ws.close()
+
+            assert h.service._job_done == {}
+            # The server unsubscribes after it sends the close frame.
+            for _ in range(500):
+                if not h.service.table._subs:
+                    break
+                await asyncio.sleep(0.01)
+            assert h.service.table._subs == {}
+            assert len(await h.client.jobs()) == 4
+
+    run_async(main())

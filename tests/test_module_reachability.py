@@ -18,6 +18,10 @@ a shadow model does not make anything run it.
 The modules left unreached must be exactly :data:`ALLOWLIST`.  A new
 orphan fails, and so does an allowlisted module that gains a caller (it
 must then leave the list).
+
+The same walk checks that the package has no environment knobs: no module
+reads or sets an environment variable (``os.environ``, ``os.getenv``,
+``os.putenv``), so arguments and config alone decide what a run does.
 """
 
 from __future__ import annotations
@@ -144,3 +148,40 @@ def test_every_module_has_a_caller_outside_the_tests():
         f"or are gone (drop them from ALLOWLIST): {stale}"
     )
 
+
+#: The ``os`` names through which code reads or sets the environment.
+ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
+
+
+def environment_uses(path: Path) -> list[str]:
+    """``file:line os.name`` for every environment access in the file."""
+    tree = _tree(path)
+    os_names = set()
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "os":
+                    os_names.add(alias.asname or "os")
+                elif alias.name.startswith("os.") and alias.asname is None:
+                    os_names.add("os")  # ``import os.path`` binds ``os``
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            uses.extend(
+                (node.lineno, alias.name) for alias in node.names
+                if alias.name in ENVIRONMENT_NAMES
+            )
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in os_names
+        ):
+            uses.append((node.lineno, node.attr))
+    where = path.relative_to(PACKAGE_ROOT)
+    return [f"{where}:{line} os.{name}" for line, name in sorted(uses)]
+
+
+def test_the_package_reads_no_environment_variables():
+    uses = [use for path in MODULES.values() for use in environment_uses(path)]
+    assert not uses, f"environment variable uses in src/repro: {uses}"
