@@ -15,7 +15,7 @@ Whatever the schedule throws at the supply chain, two laws must hold:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SolarCoreConfig
@@ -84,6 +84,11 @@ def test_energy_conserved_under_any_fault_schedule(schedule, site, month):
 
 
 @given(schedule=fault_schedules())
+# An ATS stuck on utility until just before the dropout's exclusive end: the
+# chip's first solar step lands on minute 720, when the sensor reads again.
+@example(schedule=FaultSchedule(
+    specs=(FaultSpec("ats_stuck", 440.0, 706.0),), seed=0,
+))
 @settings(max_examples=10, deadline=None)
 def test_degraded_allocation_never_exceeds_budget(schedule):
     # Guarantee at least one long midday dropout so the degraded path
@@ -104,10 +109,11 @@ def test_degraded_allocation_never_exceeds_budget(schedule):
     # floor power, ...), and a chip that never tracks can never detect a
     # stale sensor.  Degraded mode is mandatory only when the chip actually
     # ran on solar deep enough into the dropout for the staleness ladder to
-    # fire; the containment property below must hold regardless.
+    # fire; the containment property below must hold regardless.  The
+    # dropout window is half-open, so minute 720 already reads the sensor.
     deep_in_dropout = (
         (day.minutes >= 600.0 + CFG.sensor_staleness_min + CFG.step_minutes)
-        & (day.minutes <= 720.0)
+        & (day.minutes < 720.0)
         & day.on_solar
     )
     if deep_in_dropout.any():
