@@ -317,4 +317,7 @@ def test_service_durability(out_dir, tmp_path):
         },
     )
     assert lost == 0, (acked_ids, inflight_id, stats)
+    # 30 s is the --lease-stale bound: a lease left empty by the killed
+    # server (an owner that cannot be named) made recovery wait it out.
+    assert recovery_wall_s < 25.0, recovery_wall_s
     assert recovery["requeued"] == 1, stats

@@ -1,9 +1,9 @@
-"""Atomic file replacement: a reader sees the old bytes or the new, never a mix.
+"""Atomic file creation: a reader sees the old bytes or the new, never a mix.
 
-The one write path behind every file the package replaces in place: the
-disk result cache and its lease claims, run-ledger manifests, job-journal
-snapshots and operating-surface tables.  Stdlib only, so every layer can
-import it.
+The one write path behind every durable file of the package: disk result
+cache entries, cache leases and their takeover claims, run-ledger
+manifests and the compacted job journal.  Each comes into being whole and
+fsynced.  Stdlib only, so every layer can import it.
 """
 
 from __future__ import annotations
@@ -24,29 +24,39 @@ def write_atomic(
     *,
     prefix: str = "tmp",
     suffix: str = ".tmp",
+    exclusive: bool = False,
 ) -> Path:
     """Replace ``path`` with ``data`` (str is written as UTF-8).
 
     The data goes to a ``prefix*suffix`` temp file in the same directory,
     is flushed and fsynced, and the temp file is ``os.replace``\\ d onto
-    ``path``.  On any failure the temp file is removed and the error
-    re-raised.  The directory is not fsynced: a crash may lose the rename,
-    never the contents of a file that is visible.
+    ``path``.  With ``exclusive`` the temp file is hard-linked to ``path``
+    instead, which raises ``FileExistsError`` when ``path`` exists: of N
+    racing writers exactly one creates the file, and it appears complete.
+    The temp file is removed on any failure (the error is re-raised) and
+    after a link; failing to remove it is logged, never raised.  The
+    directory is not fsynced: a crash may lose the rename or link, never
+    the contents of a file that is visible.
     """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=suffix)
+    leftover = tmp  # removed on failure, and after a link made ``path`` live
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError as exc:
-            log.warning("could not clean up temp file %s: %s", tmp, exc)
-        raise
+        if exclusive:
+            os.link(tmp, path)
+        else:
+            os.replace(tmp, path)
+            leftover = None
+    finally:
+        if leftover is not None:
+            try:
+                os.unlink(leftover)
+            except OSError as exc:
+                log.warning("could not clean up temp file %s: %s", leftover, exc)
     return path

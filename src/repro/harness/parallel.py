@@ -550,8 +550,10 @@ class DiskResultCache:
 
         The protocol, in order of preference:
 
-        1. ``O_EXCL``-create the lease file — atomic on POSIX, so exactly
-           one of N racing processes wins a fresh election.
+        1. Create the lease file whole: a fsynced claim file naming its
+           owner is hard-linked into place, which fails if the lease
+           exists, so exactly one of N racing processes wins a fresh
+           election and no lease file is ever empty.
         2. If it exists but its mtime (the heartbeat) is older than
            ``stale_after_s``, or its owner is a process of this host and
            boot that no longer exists, take it over: atomically
@@ -574,7 +576,7 @@ class DiskResultCache:
             "created": time.time(),
         }).encode()
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            write_atomic(path, payload, suffix=".lease-claim", exclusive=True)
         except FileExistsError:
             try:
                 age = time.time() - path.stat().st_mtime
@@ -590,10 +592,6 @@ class DiskResultCache:
             write_atomic(path, payload, suffix=".lease-claim")
             lease = CacheLease(path=path, token=token)
             return lease if lease.owned() else None
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
         return CacheLease(path=path, token=token)
 
     def load_or_compute(

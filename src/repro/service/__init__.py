@@ -7,8 +7,8 @@ changing the simulation stack:
   surface as JSON) and the strict queued → running → terminal state
   machine (plus the durability states ``interrupted`` /
   ``deadline_exceeded``), pure-sync so property tests can drive it;
-* :mod:`repro.service.journal` — the crash-safe append-only job journal
-  with atomic snapshot compaction (``--journal-dir``);
+* :mod:`repro.service.journal` — the crash-safe append-only job journal,
+  compacted in place by one atomic rename (``--journal-dir``);
 * :mod:`repro.service.coalesce` — exactly-one in-flight compute per task
   cache key, with orphaned computes running to completion and follower
   re-election when a leader dies;

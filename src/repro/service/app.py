@@ -199,8 +199,6 @@ class SolarCoreService:
             fails them with an explanatory error.
         drain_timeout_s: Default budget :meth:`drain` waits for in-flight
             jobs before journaling them as ``interrupted``.
-        journal_fsync: Force every journal append to stable storage (the
-            acknowledgment guarantee).  Tests may disable for speed.
         lease_stale_s: With ``cache_dir``, the cross-process compute
             lease bound: N server processes sharing the cache directory
             produce exactly one compute per key, and a leader silent for
@@ -224,7 +222,6 @@ class SolarCoreService:
         journal_dir=None,
         recover: str = "retry",
         drain_timeout_s: float = 10.0,
-        journal_fsync: bool = True,
         lease_stale_s: float = 30.0,
     ) -> None:
         if max_workers < 1:
@@ -249,7 +246,7 @@ class SolarCoreService:
         self.stream_hub = StreamHub(client_queue_size=client_queue_size)
         self.journal: JobJournal | None = None
         if journal_dir is not None:
-            self.journal = JobJournal(journal_dir, fsync=journal_fsync)
+            self.journal = JobJournal(journal_dir)
         #: Replay/recovery report of the last :meth:`start` (None without
         #: a journal).
         self.recovery: dict | None = None
@@ -342,12 +339,11 @@ class SolarCoreService:
             "records": report.records,
             "corrupt_lines": report.corrupt_lines,
             "truncated_bytes": report.truncated_bytes,
-            "corrupt_snapshot": report.corrupt_snapshot,
             "replay_s": time.perf_counter() - t0,
         }
-        # Fold the replayed history into a fresh snapshot immediately, so
-        # repeated crash/restart cycles do not re-pay an ever-longer log.
-        self.journal.compact(self.table.jobs(), self.table.next_id)
+        # Compact the replayed history at once, so repeated crash/restart
+        # cycles do not re-pay an ever-longer log.
+        self.journal.compact(self.table.jobs())
         if report.jobs:
             log.info(
                 "journal recovery: %d job(s) replayed, %d requeued, "
@@ -454,7 +450,7 @@ class SolarCoreService:
         """
         try:
             self.journal.observer(event, job)
-            self.journal.maybe_compact(self.table.jobs(), self.table.next_id)
+            self.journal.maybe_compact(self.table.jobs())
         except Exception:  # noqa: BLE001 — a sick disk must not wedge the table
             log.exception("journal append failed for %s (%s)", job.job_id, event)
 
@@ -643,7 +639,7 @@ class SolarCoreService:
             stream.close(1001, b"server draining")
         if self.journal is not None:
             try:
-                self.journal.compact(self.table.jobs(), self.table.next_id)
+                self.journal.compact(self.table.jobs())
             except Exception:  # noqa: BLE001
                 log.exception("journal compaction during drain failed")
         self.drain_report = {

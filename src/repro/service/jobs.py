@@ -385,11 +385,6 @@ class JobTable:
         #: Transition counters by target state (service /stats section).
         self.transitions: dict[str, int] = dict.fromkeys(JOB_STATES, 0)
 
-    @property
-    def next_id(self) -> int:
-        """The integer suffix the next created job will use."""
-        return self._next_id
-
     # -- creation and lookup -------------------------------------------
     def create(self, spec: JobSpec) -> Job:
         """Register a new queued job."""

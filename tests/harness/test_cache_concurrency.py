@@ -256,6 +256,48 @@ def test_dead_owner_lease_is_stale_at_once_live_owner_is_not(tmp_path):
         _stop(owner)
 
 
+class _DyingHandle:
+    """A file handle whose first write SIGKILLs the writing process."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, data):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _lease_killed_mid_write(root):
+    """Try for ``KEY``'s lease and die by SIGKILL while writing it."""
+    cache = DiskResultCache(root, fingerprint="race-test")
+    real_fdopen = os.fdopen
+    os.fdopen = lambda fd, *args, **kwargs: _DyingHandle(
+        real_fdopen(fd, *args, **kwargs))
+    cache.try_lease(KEY, stale_after_s=3600.0)
+
+
+def test_lease_torn_by_sigkill_mid_write_is_taken_over_at_once(tmp_path):
+    """A process killed while writing its lease leaves no lease without an
+    owner, so a successor is elected at once, not after the staleness bound."""
+    DiskResultCache(tmp_path, fingerprint="race-test")
+    ctx = multiprocessing.get_context()
+    victim = ctx.Process(target=_lease_killed_mid_write, args=(str(tmp_path),))
+    victim.start()
+    victim.join(timeout=30)
+    assert victim.exitcode == -signal.SIGKILL
+    cache = DiskResultCache(tmp_path, fingerprint="race-test")
+    start = time.monotonic()
+    lease = cache.try_lease(KEY, stale_after_s=3600.0)
+    assert lease is not None, "a lease torn by its writer's death must not hold"
+    assert time.monotonic() - start < 1.0
+    lease.release()
+
+
 def test_lease_from_another_host_keeps_the_mtime_rule(tmp_path):
     """A pid from another host (or boot) cannot be checked here: only its
     heartbeat age can make that lease stale."""

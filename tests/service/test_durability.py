@@ -263,9 +263,7 @@ def test_drain_journals_stragglers_fails_readiness_and_says_1001(
     journal_dir = tmp_path / "journal"
 
     async def main():
-        async with harness_factory(
-            journal_dir=journal_dir, journal_fsync=False
-        ) as h:
+        async with harness_factory(journal_dir=journal_dir) as h:
             job = await h.client.submit(_cell(1))
             while (await h.client.job(job["job_id"]))["state"] == "queued":
                 await asyncio.sleep(0.005)
@@ -300,9 +298,7 @@ def test_drain_journals_stragglers_fails_readiness_and_says_1001(
             gated_compute.release()
 
         # A successor process recovers the interrupted job and runs it.
-        async with harness_factory(
-            journal_dir=journal_dir, journal_fsync=False
-        ) as successor:
+        async with harness_factory(journal_dir=journal_dir) as successor:
             final = await successor.client.wait_terminal(job["job_id"])
             assert final["state"] == "done"
             stats = await successor.client.stats()

@@ -9,6 +9,7 @@ import pytest
 from repro.harness.parallel import SweepTask
 from repro.service.jobs import (
     DONE,
+    FAILED,
     INTERRUPTED,
     QUEUED,
     RUNNING,
@@ -41,7 +42,7 @@ def test_spec_to_dict_round_trips_through_from_dict():
 
 
 def test_journal_replays_submits_and_transitions(tmp_path):
-    journal = JobJournal(tmp_path, fsync=False)
+    journal = JobJournal(tmp_path)
     table = JobTable(observer=journal.observer)
     a = table.create(spec(1))
     b = table.create(spec(2))
@@ -54,13 +55,12 @@ def test_journal_replays_submits_and_transitions(tmp_path):
     assert by_id[a.job_id].state == DONE
     assert by_id[b.job_id].state == RUNNING
     assert by_id[b.job_id].spec == b.spec
-    assert report.next_id == 3
     assert report.corrupt_lines == 0
     assert report.truncated_bytes == 0
 
 
 def test_restore_bumps_id_counter_past_replayed_jobs(tmp_path):
-    journal = JobJournal(tmp_path, fsync=False)
+    journal = JobJournal(tmp_path)
     table = JobTable(observer=journal.observer)
     table.create(spec(1))
     table.create(spec(2))
@@ -69,7 +69,6 @@ def test_restore_bumps_id_counter_past_replayed_jobs(tmp_path):
     fresh = JobTable()
     for job in report.jobs:
         fresh.restore(job)
-    assert fresh.next_id == 3
     assert fresh.create(spec(3)).job_id == "job-000003"
 
 
@@ -82,7 +81,7 @@ def test_restore_rejects_duplicates(tmp_path):
 
 
 def test_torn_tail_is_truncated_loudly(tmp_path):
-    journal = JobJournal(tmp_path, fsync=False)
+    journal = JobJournal(tmp_path)
     table = JobTable(observer=journal.observer)
     job = table.create(spec())
     table.transition(job, RUNNING)
@@ -105,7 +104,7 @@ def test_torn_tail_is_truncated_loudly(tmp_path):
 
 
 def test_corrupt_middle_record_is_dropped_but_tail_kept(tmp_path):
-    journal = JobJournal(tmp_path, fsync=False)
+    journal = JobJournal(tmp_path)
     table = JobTable(observer=journal.observer)
     a = table.create(spec(1))
     journal.append({"op": "state", "job_id": "job-999999", "state": DONE})
@@ -119,63 +118,62 @@ def test_corrupt_middle_record_is_dropped_but_tail_kept(tmp_path):
 
 
 def test_compaction_is_atomic_and_replayable(tmp_path):
-    journal = JobJournal(tmp_path, fsync=False)
+    journal = JobJournal(tmp_path)
     table = JobTable(observer=journal.observer)
     a = table.create(spec(1))
     table.transition(a, RUNNING)
-    table.transition(a, DONE)
+    table.transition(a, FAILED, error="boom")
     b = table.create(spec(2))
 
-    journal.compact(table.jobs(), table.next_id)
-    assert journal.journal_path.stat().st_size == 0
-    assert journal.snapshot_path.exists()
+    journal.compact(table.jobs())
+    # The journal is the only file, compacted to one submit line per job
+    # that carries the job's state.
+    assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
+    lines = journal.journal_path.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"op": "submit", "job_id": a.job_id, "spec": a.spec.to_dict(),
+         "state": FAILED, "error": "boom"},
+        {"op": "submit", "job_id": b.job_id, "spec": b.spec.to_dict(),
+         "state": QUEUED},
+    ]
 
-    # Post-compaction appends layer on top of the snapshot.
+    # Post-compaction appends land in the compacted file.
     table.transition(b, RUNNING)
     table.transition(b, INTERRUPTED)
+    journal.close()
 
     report = JobJournal(tmp_path).replay()
     by_id = {job.job_id: job for job in report.jobs}
-    assert by_id[a.job_id].state == DONE
+    assert by_id[a.job_id].state == FAILED
+    assert by_id[a.job_id].error == "boom"
     assert by_id[b.job_id].state == INTERRUPTED
-    assert report.next_id == 3
+    assert report.records == 4
+    assert report.corrupt_lines == 0
 
 
 def test_maybe_compact_honors_threshold(tmp_path):
-    journal = JobJournal(tmp_path, fsync=False, compact_every=4)
+    journal = JobJournal(tmp_path, compact_every=4)
     table = JobTable(observer=journal.observer)
     job = table.create(spec())          # 1 append
-    assert journal.maybe_compact(table.jobs(), table.next_id) is False
+    assert journal.maybe_compact(table.jobs()) is False
     table.transition(job, RUNNING)      # 2
     table.transition(job, DONE)         # 3
-    assert journal.maybe_compact(table.jobs(), table.next_id) is False
+    assert journal.maybe_compact(table.jobs()) is False
     table.create(spec(2))               # 4
-    assert journal.maybe_compact(table.jobs(), table.next_id) is True
+    assert journal.maybe_compact(table.jobs()) is True
+    journal.close()
     assert journal.compactions == 1
-    assert journal.journal_path.stat().st_size == 0
-
-
-def test_corrupt_snapshot_falls_back_to_journal(tmp_path):
-    journal = JobJournal(tmp_path, fsync=False)
-    table = JobTable(observer=journal.observer)
-    a = table.create(spec(1))
-    table.transition(a, RUNNING)
-    journal.snapshot_path.write_text("{not json", encoding="utf-8")
-
-    with pytest.warns(JournalCorruption, match="unusable snapshot"):
-        report = JobJournal(tmp_path).replay()
-    assert report.corrupt_snapshot is True
-    assert report.jobs[0].state == RUNNING
+    assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
+    assert len(journal.journal_path.read_text().splitlines()) == 2
 
 
 def test_empty_directory_replays_to_nothing(tmp_path):
     report = JobJournal(tmp_path / "fresh").replay()
     assert report.jobs == []
-    assert report.next_id == 1
 
 
 def test_unknown_state_in_record_is_corruption(tmp_path):
-    journal = JobJournal(tmp_path, fsync=False)
+    journal = JobJournal(tmp_path)
     table = JobTable(observer=journal.observer)
     job = table.create(spec())
     journal.append({"op": "state", "job_id": job.job_id, "state": "paused"})
@@ -186,7 +184,7 @@ def test_unknown_state_in_record_is_corruption(tmp_path):
 
 
 def test_journal_records_are_one_json_object_per_line(tmp_path):
-    journal = JobJournal(tmp_path, fsync=False)
+    journal = JobJournal(tmp_path)
     table = JobTable(observer=journal.observer)
     job = table.create(spec(deadline_s=2.5))
     table.transition(job, RUNNING)
@@ -198,3 +196,19 @@ def test_journal_records_are_one_json_object_per_line(tmp_path):
     assert json.loads(lines[1]) == {
         "job_id": job.job_id, "op": "state", "state": RUNNING,
     }
+
+
+def test_snapshot_left_by_an_older_server_is_named_not_read(tmp_path):
+    journal = JobJournal(tmp_path)
+    table = JobTable(observer=journal.observer)
+    job = table.create(spec())
+    journal.close()
+    old_job = {"job_id": "job-000009", "spec": spec(2).to_dict(), "state": DONE}
+    (tmp_path / "snapshot.json").write_text(
+        json.dumps({"format": 1, "next_id": 10, "jobs": [old_job]})
+    )
+
+    with pytest.warns(JournalCorruption, match="snapshot.json"):
+        report = JobJournal(tmp_path).replay()
+    assert [j.job_id for j in report.jobs] == [job.job_id]
+    assert report.corrupt_lines == 0
