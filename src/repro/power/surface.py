@@ -26,6 +26,11 @@ and serves every later query as an O(1) multilinear interpolation:
   ``P(V) = p_frac * Pmpp`` on the diode-side branch ``[Vmpp, Voc]``,
   tabulated over (ln G, T, p_frac).
 
+The MPP table is a golden-section maximization of ``P(V)``.  The
+operating-point table is the load line's closed form, one Lambert-W per
+node (:meth:`_CellTerms.load_line_voltage`), and the right branch is a
+bisection in current space, where ``V(I)`` is explicit.
+
 Every surface carries a *measured* error report: after construction the
 tables are compared against the exact solvers on a seeded random sample
 and the maximum observed relative errors — times a safety factor —
@@ -125,15 +130,14 @@ class SurfaceSpec:
 
 
 def _bisect_current_root(
-    vd: VectorizedDevice,
     lo: np.ndarray,
     hi: np.ndarray,
     target: "callable",
     iterations: int = 50,
 ) -> np.ndarray:
-    """Vectorized bisection of ``f(v) = target(v)`` with f(lo)>0>f(hi).
+    """Vectorized bisection of ``f(i) = target(i)`` with f(lo)>0>f(hi).
 
-    ``target`` maps a voltage array to the signed mismatch; the bracket
+    ``target`` maps a current array to the signed mismatch; the bracket
     arrays are consumed (copied internally).
     """
     lo = lo.copy()
@@ -147,11 +151,12 @@ def _bisect_current_root(
 
 
 class _CellTerms:
-    """Hoisted per-(G, T) diode terms for repeated voltage evaluations.
+    """Hoisted per-(G, T) diode terms for repeated evaluations.
 
-    Bisection evaluates the device current ~50 times on the same (G, T)
-    mesh; everything except the Lambert-W term is voltage-independent,
-    so compute it once.
+    The MPP golden section evaluates the device power 145 times on the
+    same (G, T) mesh, and the right-branch bisection the device voltage
+    50 times; everything except the Lambert-W (or log) term is
+    independent of the operating point, so compute it once.
     """
 
     def __init__(self, vd: VectorizedDevice, g: np.ndarray, t: np.ndarray) -> None:
@@ -159,12 +164,44 @@ class _CellTerms:
         self.vt = vd.thermal_voltage(t)
         self.iph = vd.photocurrent(g, t)
         self.i0 = vd.saturation_current(t)
+        # With a = Iph + I0 the diode inverts explicitly:
+        # V_cell(i) = Vt * ln((a - i) / I0) - i * Rs.
+        self.a = self.iph + self.i0
+        self.ln_a_i0 = np.log(self.a / self.i0)
         p = vd.cell
         self.rs = p.series_resistance
         if self.rs > 0.0:
             self.log_base = np.log(self.i0 * self.rs / self.vt)
-            self.rs_term = (self.iph + self.i0) * self.rs
+            self.rs_term = self.a * self.rs
         self.inv_vt = 1.0 / self.vt
+
+    def voltage(self, current: np.ndarray) -> np.ndarray:
+        """Device voltage [V] at device current: the explicit inverse of
+        :meth:`current`, one log per element."""
+        i_cell = current / self.vd.np_total
+        v_cell = self.vt * (self.ln_a_i0 + np.log1p(-i_cell / self.a)) - i_cell * self.rs
+        return v_cell * self.vd.ns_total
+
+    def load_line_voltage(self, rho: np.ndarray) -> np.ndarray:
+        """Device voltage [V] where the I-V curve meets ``I = V/rho``.
+
+        One cell sees ``rho_c = rho * np/ns``, and a resistive load behind
+        ``Rs`` is a short through ``R' = Rs + rho_c``, so the cell current
+        has the closed form ``a - (Vt/R') W((I0 R'/Vt) exp(a R'/Vt))``.
+        That form cancels in ``a - W Vt/R'`` where the current is small,
+        so two Newton steps on the explicit
+        ``Vt ln((a - I)/I0) - I R' = 0`` restore full precision there.
+        """
+        a, vt = self.a, self.vt
+        rho_c = rho * (self.vd.np_total / self.vd.ns_total)
+        r_tot = self.rs + rho_c
+        i_cell = a - (vt / r_tot) * lambertw_of_exp_array(
+            np.log(self.i0 * r_tot / vt) + a * r_tot / vt
+        )
+        for _ in range(2):
+            h = vt * (self.ln_a_i0 + np.log1p(-i_cell / a)) - i_cell * r_tot
+            i_cell = i_cell + h / (vt / (a - i_cell) + r_tot)
+        return rho_c * i_cell * self.vd.ns_total
 
     def current(self, voltage: np.ndarray) -> np.ndarray:
         """Device current [A] at device voltage, reusing hoisted terms."""
@@ -300,29 +337,22 @@ class OperatingSurfaces:
         rho_mpp = vmpp * vmpp / pmpp  # (n_g, n_t)
         rho3 = np.exp(x_nodes)[None, None, :] * rho_mpp[:, :, None]
         voc3 = voc[:, :, None]
-        v_op = _bisect_current_root(
-            vd,
-            np.zeros(np.broadcast_shapes(voc3.shape, rho3.shape)),
-            np.broadcast_to(voc3, np.broadcast_shapes(voc3.shape, rho3.shape)),
-            lambda v: terms3.current(v) - v / rho3,
-        )
+        v_op = terms3.load_line_voltage(rho3)
         # Logit of V/Voc: linear in the axis coordinate on both wings.
         vnorm = np.log(v_op / (voc3 - v_op))
 
-        # -- right branch: P(V) = pfrac * Pmpp on [Vmpp, Voc] -----------
+        # -- right branch: P = pfrac * Pmpp on [Vmpp, Voc] --------------
+        # Bisected in current space: power rises with current on
+        # [0, Impp], and V(I) is explicit (one log, no Lambert-W).
         pfrac_nodes = np.linspace(0.0, spec.pfrac_max, spec.n_pfrac)
         target3 = pmpp[:, :, None] * pfrac_nodes[None, None, :]
-        vmpp3 = np.broadcast_to(
-            vmpp[:, :, None], pmpp.shape + (spec.n_pfrac,)
+        impp3 = np.broadcast_to((pmpp / vmpp)[:, :, None], target3.shape)
+        i_right = _bisect_current_root(
+            np.zeros(target3.shape),
+            impp3,
+            lambda i: target3 - i * terms3.voltage(i),
         )
-        voc_b = np.broadcast_to(voc3, vmpp3.shape)
-        v_right = _bisect_current_root(
-            vd,
-            vmpp3.copy(),
-            voc_b.copy(),
-            lambda v: terms3.power(v) - target3,
-        )
-        vright = v_right / voc3
+        vright = terms3.voltage(i_right) / voc3
 
         surfaces = cls(
             device,

@@ -9,10 +9,13 @@ The durability contract the service builds on:
 * **Append-only.**  The journal file (``journal.jsonl``) only ever grows
   between compactions; a crash can at worst leave one torn line at the
   tail.
-* **Loud, bounded truncation.**  On replay, a corrupt record *at the
-  tail* is truncated (with a warning) — that is the torn-write case and
-  losing an un-acknowledged suffix is correct.  Corruption *before* valid
-  records is also reported, but replay keeps every record it can parse.
+* **Loud, bounded truncation.**  On replay, a torn write *at the tail*
+  (a last line without its newline, or bytes that do not parse as JSON)
+  is truncated with a warning: losing an un-acknowledged suffix is
+  correct.  Corruption *before* valid records is also reported, but
+  replay keeps every record it can parse.  A whole JSON line that does
+  not apply (an unknown op or state, say from a newer server) is
+  reported and kept on disk, never truncated.
 * **Atomic compaction.**  Compaction writes the shortest journal that
   replays to the same jobs and :func:`~repro.atomicio.write_atomic`\\ s
   it over ``journal.jsonl`` in one rename, so every instant in time has
@@ -152,7 +155,12 @@ class JobJournal:
                     good_end = offset
                     continue
                 try:
+                    if not raw.endswith(b"\n"):
+                        raise ValueError("no line end")
                     record = json.loads(line)
+                    # A whole line stays on disk even if it does not apply:
+                    # only a torn write is truncated.
+                    good_end = offset
                     self._apply(record, jobs)
                 except (ValueError, KeyError, TypeError, JobSpecError) as exc:
                     report.corrupt_lines += 1
@@ -163,7 +171,6 @@ class JobJournal:
                     )
                 else:
                     report.records += 1
-                    good_end = offset
         report.jobs = list(jobs.values())
         size = self.journal_path.stat().st_size
         if good_end < size:

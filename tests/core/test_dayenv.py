@@ -25,6 +25,7 @@ from repro.environment.irradiance import default_seed, generate_trace
 from repro.environment.locations import PHOENIX_AZ
 from repro.faults import FaultSchedule, FaultScheduler, FaultyArray
 from repro.harness.parallel import SweepTask, compute_task, grid_tasks, run_parallel
+from repro.power import surface as surface_mod
 from repro.power.surface import get_surfaces
 from repro.pv.array import PVArray
 from repro.pv.module import PVModule
@@ -241,6 +242,40 @@ class TestCountedWork:
         assert counters["environment.builds"] == len(self.CELLS)
         assert counters["pv.mpp_solves"] == len(self.CELLS) * steps
         assert counters["sim.days"] == len(tasks)
+
+    #: A table day's counted work on the same 12 tasks, at any ``jobs``.
+    TABLE_WORK = {
+        "environment.builds": 2,
+        "sim.days": 12,
+        "sim.tracking_events": 364,
+        "controller.align_solves": 364,
+        "controller.load_raises": 1531,
+        "controller.load_sheds": 1812,
+        "sim.dvfs_transitions": 3631,
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_table_grid_counts_its_work(self, jobs, monkeypatch):
+        tasks = grid_tasks(
+            ("HM2", "L1"), self.CELLS, (7,),
+            policies=("MPPT&Opt", "MPPT&IC"), deratings=(0.81,),
+        )
+        assert len(tasks) == 12
+        # Every process that runs a table day builds its surface in the
+        # session; pool workers fork with this empty registry too.
+        monkeypatch.setattr(surface_mod, "_REGISTRY", {})
+        clear_environments()
+        with telemetry_session() as hub:
+            results = run_parallel(tasks, TABLE, jobs=jobs)
+        assert len(results) == len(tasks)
+        counters = hub.snapshot()["counters"]
+        assert {name: counters[name] for name in self.TABLE_WORK} == self.TABLE_WORK
+        assert "surface.fallbacks" not in counters
+        # One build per process that got a chunk.
+        builds = counters["surface.builds"]
+        assert 1 <= builds <= jobs
+        # A build's 512-sample self-check is a table day's only exact MPP work.
+        assert counters["pv.mpp_solves"] == 512 * builds
 
     @pytest.mark.parametrize("faults, solves", [
         ("sensor_dropout@600-660,seed=7", False),

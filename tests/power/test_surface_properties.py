@@ -4,22 +4,30 @@ Every table query must honour the surface's *declared* error bound
 (measured at build time, widened by the safety factor) against the exact
 Lambert-W / ``brentq`` solvers, preserve the monotonicity and continuity
 the physics guarantees, and fall back to the exact path — loudly, on the
-fallback counters — the moment a query leaves the tabulated domain.
+fallback counters — the moment a query leaves the tabulated domain.  The
+tabulated nodes themselves are the model's own roots to float64
+round-off, and a build's Lambert-W work is counted, not timed.
 """
 
+import dataclasses
 import math
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from repro.power.converter import DCDCConverter
 from repro.power.operating_point import solve_operating_point
 from repro.power.surface import OperatingSurfaces, SurfaceSpec, get_surfaces
 from repro.pv.array import PVArray
+from repro.pv.cell import PVCell
+from repro.pv.module import PVModule
 from repro.pv.mpp import find_mpp
+from repro.pv.params import bp3180n
 
 # Stay inside the tabulated envelope with margin; the out-of-domain
 # behaviour has its own tests below.
@@ -241,3 +249,98 @@ class TestIdentity:
             thread.join(timeout=60)
         assert len(builds) == 1
         assert len(got) == 2 and got[0] is got[1]
+
+
+def _rs_free_module() -> PVModule:
+    params = bp3180n()
+    cell = dataclasses.replace(params.cell, series_resistance=0.0)
+    return PVModule(dataclasses.replace(params, cell=cell))
+
+
+#: A coarse grid for the devices other than the default array.
+_SMALL = SurfaceSpec(n_g=8, n_t=6, n_rho=40, n_pfrac=10, error_samples=8)
+
+#: Every composition the closed form serves, with the grid it is built on.
+_PRECISION_DEVICES = {
+    "array": (PVArray, None),
+    "module": (lambda: PVModule(bp3180n()), _SMALL),
+    "cell": (lambda: PVCell(bp3180n().cell), _SMALL),
+    "module-rs0": (_rs_free_module, _SMALL),
+    "array-2x3": (lambda: PVArray(modules_series=2, modules_parallel=3), _SMALL),
+}
+
+#: Nodes checked per table, and the seed that draws them.
+_NODES = 64
+_NODE_SEED = 20261018
+
+
+def _node_draw(surfaces, n_last: int):
+    """Seeded (ig, it, ik) node indices; the first 16 sit on the two ends
+    of the last axis (for the load line, ``ln(rho/rho_mpp) = -+12``)."""
+    spec = surfaces.spec
+    rng = np.random.default_rng(_NODE_SEED)
+    ig = rng.integers(0, spec.n_g, _NODES)
+    it = rng.integers(0, spec.n_t, _NODES)
+    ik = rng.integers(0, n_last, _NODES)
+    ik[:8] = 0
+    ik[8:16] = n_last - 1
+    g_nodes = np.exp(np.linspace(math.log(spec.g_min), math.log(spec.g_max), spec.n_g))
+    t_nodes = np.linspace(spec.t_min, spec.t_max, spec.n_t)
+    for i, j, k in zip(ig.tolist(), it.tolist(), ik.tolist()):
+        vmpp = float(surfaces._vmpp[i, j])
+        pmpp = math.exp(float(surfaces._ln_pmpp[i, j]))
+        yield (i, j, k, float(g_nodes[i]), float(t_nodes[j]), surfaces._voc_l[i][j],
+               vmpp, pmpp)
+
+
+class TestBuild:
+    def test_build_evaluates_lambert_w_at_most_twice_per_load_line_node(
+        self, monkeypatch
+    ):
+        """A build's Lambert-W work, counted in array elements (the same
+        on every host): one per load-line node for the closed form, plus
+        the MPP golden section's 145 per (G, T) node."""
+        from repro.power import surface as surface_mod
+
+        real = surface_mod.lambertw_of_exp_array
+        sizes = []
+
+        def counting(log_argument):
+            sizes.append(np.size(log_argument))
+            return real(log_argument)
+
+        monkeypatch.setattr(surface_mod, "lambertw_of_exp_array", counting)
+        OperatingSurfaces.build(PVArray())
+        spec = SurfaceSpec()
+        assert sum(sizes) <= 2 * spec.n_g * spec.n_t * spec.n_rho
+
+    @pytest.fixture(scope="class", params=sorted(_PRECISION_DEVICES))
+    def built(self, request) -> OperatingSurfaces:
+        make, spec = _PRECISION_DEVICES[request.param]
+        return OperatingSurfaces.build(make(), spec)
+
+    def test_load_line_nodes_are_brentq_roots(self, built):
+        spec = built.spec
+        x_nodes = np.linspace(spec.ln_rho_norm_min, spec.ln_rho_norm_max, spec.n_rho)
+        device = built.device
+        for i, j, k, g, t, voc, vmpp, pmpp in _node_draw(built, spec.n_rho):
+            rho = math.exp(float(x_nodes[k])) * vmpp * vmpp / pmpp
+            v_table = voc / (1.0 + math.exp(-built._vnorm_l[i][j][k]))
+            v_exact = brentq(
+                lambda v: device.current(v, g, t) - v / rho, 0.0, voc,
+                xtol=1e-15 * voc,
+            )
+            assert abs(v_table - v_exact) <= 1e-12 * voc, (g, t, float(x_nodes[k]))
+
+    def test_right_branch_nodes_are_brentq_roots(self, built):
+        spec = built.spec
+        pfrac_nodes = np.linspace(0.0, spec.pfrac_max, spec.n_pfrac)
+        device = built.device
+        for i, j, k, g, t, voc, vmpp, pmpp in _node_draw(built, spec.n_pfrac):
+            target = float(pfrac_nodes[k]) * pmpp
+            v_table = built._vright_l[i][j][k] * voc
+            v_exact = voc if target == 0.0 else brentq(
+                lambda v: v * device.current(v, g, t) - target, vmpp, voc,
+                xtol=1e-15 * voc,
+            )
+            assert abs(v_table - v_exact) <= 1e-12 * voc, (g, t, float(pfrac_nodes[k]))

@@ -177,10 +177,49 @@ def test_unknown_state_in_record_is_corruption(tmp_path):
     table = JobTable(observer=journal.observer)
     job = table.create(spec())
     journal.append({"op": "state", "job_id": job.job_id, "state": "paused"})
+    journal.close()
+    before = journal.journal_path.read_bytes()
     with pytest.warns(JournalCorruption, match="unknown state"):
         report = JobJournal(tmp_path).replay()
     assert report.corrupt_lines == 1
     assert report.jobs[0].state == QUEUED
+    # A whole line is not a torn write: it stays on disk.
+    assert report.truncated_bytes == 0
+    assert journal.journal_path.read_bytes() == before
+
+
+def test_unknown_op_in_last_record_is_kept_on_disk(tmp_path):
+    journal = JobJournal(tmp_path)
+    table = JobTable(observer=journal.observer)
+    job = table.create(spec())
+    journal.append({"op": "pause", "job_id": job.job_id})
+    journal.close()
+    before = journal.journal_path.read_bytes()
+    with pytest.warns(JournalCorruption, match="unknown op"):
+        report = JobJournal(tmp_path).replay()
+    assert report.corrupt_lines == 1
+    assert report.records == 1
+    assert report.jobs[0].state == QUEUED
+    assert report.truncated_bytes == 0
+    assert journal.journal_path.read_bytes() == before
+
+
+def test_whole_record_without_its_newline_is_a_torn_tail(tmp_path):
+    journal = JobJournal(tmp_path)
+    table = JobTable(observer=journal.observer)
+    job = table.create(spec())
+    journal.close()
+    acknowledged = journal.journal_path.read_bytes()
+    # A crash after the record's bytes but before its line end.
+    with open(journal.journal_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"op": "state", "job_id": job.job_id, "state": RUNNING}))
+
+    with pytest.warns(JournalCorruption) as caught:
+        report = JobJournal(tmp_path).replay()
+    messages = " | ".join(str(w.message) for w in caught)
+    assert "no line end" in messages and "torn tail" in messages
+    assert report.jobs[0].state == QUEUED  # never acknowledged, not applied
+    assert journal.journal_path.read_bytes() == acknowledged
 
 
 def test_journal_records_are_one_json_object_per_line(tmp_path):
