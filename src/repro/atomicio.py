@@ -11,11 +11,17 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
+import time
 from pathlib import Path
 
-__all__ = ["write_atomic"]
+__all__ = ["ORPHAN_AGE_S", "remove_orphaned_temps", "write_atomic"]
 
 log = logging.getLogger(__name__)
+
+#: Age [s] past which a write's temp file is an orphan.  A live write holds
+#: its temp file for milliseconds; one this old was left by a process killed
+#: between creating it and the rename or link.
+ORPHAN_AGE_S = 3600.0
 
 
 def write_atomic(
@@ -60,3 +66,35 @@ def write_atomic(
             except OSError as exc:
                 log.warning("could not clean up temp file %s: %s", leftover, exc)
     return path
+
+
+def remove_orphaned_temps(directory: str | os.PathLike, patterns: tuple[str, ...]) -> int:
+    """Delete temp files matching ``patterns`` older than :data:`ORPHAN_AGE_S`.
+
+    :func:`write_atomic` removes its temp file on every failure it sees,
+    but not when its process is killed first; the owner of a directory
+    calls this when it opens it.  Returns how many files went, and warns
+    with the count when any did.  A file another opener removed first is
+    skipped; failing to remove one is logged, never raised.
+    """
+    root = Path(directory)
+    cutoff = time.time() - ORPHAN_AGE_S
+    removed = 0
+    for pattern in patterns:
+        for path in root.glob(pattern):
+            try:
+                if path.stat().st_mtime >= cutoff:
+                    continue
+                path.unlink()
+            except FileNotFoundError:
+                continue
+            except OSError as exc:
+                log.warning("could not remove orphaned temp file %s: %s", path, exc)
+                continue
+            removed += 1
+    if removed:
+        log.warning(
+            "removed %d orphaned temp file(s) older than %.0f s from %s",
+            removed, ORPHAN_AGE_S, directory,
+        )
+    return removed

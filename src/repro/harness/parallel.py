@@ -48,7 +48,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
-from repro.atomicio import write_atomic
+from repro.atomicio import remove_orphaned_temps, write_atomic
 from repro.core.config import SolarCoreConfig
 from repro.core.simulation import (
     BatteryDayResult,
@@ -400,7 +400,9 @@ class DiskResultCache:
     task key, so a changed codebase or config addresses different files.
     Writes are atomic (same-directory temp file + ``os.replace``), safe
     under concurrent writers — the worst case is two processes computing
-    the same entry, and last-write-wins of identical bytes.
+    the same entry, and last-write-wins of identical bytes.  Opening the
+    cache removes temp files that writers killed mid-write left behind
+    (:func:`~repro.atomicio.remove_orphaned_temps`).
 
     Args:
         root: Cache directory (created on first store).
@@ -414,6 +416,7 @@ class DiskResultCache:
         self.hits = 0
         self.misses = 0
         self._ensure_format()
+        remove_orphaned_temps(self.root, ("tmp*.tmp", "tmp*.lease-claim"))
 
     def _ensure_format(self) -> None:
         """Purge entries written by an older cache format — loudly.

@@ -24,8 +24,9 @@ from repro.pv.params import (
     CellParameters,
     celsius_to_kelvin,
 )
+from repro.telemetry import hub as telemetry_hub
 
-__all__ = ["PVCell", "lambertw_of_exp"]
+__all__ = ["DiodeTerms", "PVCell", "lambertw_of_exp"]
 
 
 def lambertw_of_exp(log_argument: float) -> float:
@@ -40,6 +41,7 @@ def lambertw_of_exp(log_argument: float) -> float:
     every operating-point solve.
     """
     y = log_argument
+    exp = math.exp
     # Substitute u = ln(w): solve g(u) = exp(u) + u - y = 0.  g is convex and
     # strictly increasing, so Newton converges globally (after the first step
     # it approaches the root monotonically from above).
@@ -50,12 +52,71 @@ def lambertw_of_exp(log_argument: float) -> float:
     else:
         u = -0.5671432904097838 + 0.5 * y  # smooth bridge through ln W(1)
     for _ in range(64):
-        ew = math.exp(u)
+        ew = exp(u)
         step = (ew + u - y) / (ew + 1.0)
         u -= step
-        if abs(step) <= 1e-15 * max(abs(u), 1.0):
+        # abs(step) <= 1e-15 * max(abs(u), 1.0), with the builtins inlined:
+        # a NaN fails both comparisons, and -0.0 compares as 0.0.
+        size = u if u >= 0.0 else -u
+        if (step if step >= 0.0 else -step) <= 1e-15 * (1.0 if 1.0 > size else size):
             break
-    return math.exp(u)
+    return exp(u)
+
+
+class DiodeTerms:
+    """The single-diode terms of one cell at one (G, T).
+
+    Everything in the characteristic except the one Lambert-W (or log)
+    that depends on the operating point: ``Vt``, ``Iph``, ``I0`` and, with
+    series resistance, ``ln(I0*Rs/Vt)``, ``(Iph+I0)*Rs`` and ``Vt/Rs``.
+    :meth:`current` and :meth:`voltage` evaluate the characteristic's
+    expressions in their original order, so they return the same bits as
+    computing every term on every call.  Kept apart from the NumPy terms
+    of :mod:`repro.power.surface`, whose ``exp`` and ``log`` need not
+    match libm's.  Instances are never mutated after construction.
+
+    Construction takes ``ln(I0*Rs/Vt)``, so below about -258 C, where
+    ``I0`` underflows to zero, it raises ``ValueError`` for every call at
+    that (G, T).
+    """
+
+    __slots__ = (
+        "irradiance", "temperature_c", "vt", "iph", "i0", "source", "rs",
+        "vt_over_rs", "log_base", "rs_term",
+    )
+
+    def __init__(self, cell: PVCell, irradiance: float, temperature_c: float) -> None:
+        p = cell.params
+        self.irradiance = irradiance
+        self.temperature_c = temperature_c
+        self.vt = vt = p.thermal_voltage(temperature_c)
+        self.iph = iph = cell.photocurrent(irradiance, temperature_c)
+        self.i0 = i0 = cell.saturation_current(temperature_c)
+        self.source = iph + i0
+        self.rs = rs = p.series_resistance
+        if rs != 0.0:
+            # I = Iph + I0 - (Vt/Rs) * W((I0*Rs/Vt) * exp((V + (Iph+I0)*Rs)/Vt))
+            self.vt_over_rs = vt / rs
+            self.log_base = math.log(i0 * rs / vt)
+            self.rs_term = (iph + i0) * rs
+
+    def current(self, voltage: float) -> float:
+        """Output current [A] at the given terminal voltage."""
+        if self.rs == 0.0:
+            return self.iph - self.i0 * math.expm1(voltage / self.vt)
+        return self.source - self.vt_over_rs * lambertw_of_exp(
+            self.log_base + (voltage + self.rs_term) / self.vt
+        )
+
+    def voltage(self, current: float) -> float:
+        """Terminal voltage [V] at the given output current."""
+        headroom = self.source - current
+        if headroom <= 0.0:
+            raise ValueError(
+                f"current {current} A exceeds the cell's source capability "
+                f"({self.source:.6g} A); no forward operating point exists"
+            )
+        return self.vt * math.log(headroom / self.i0) - current * self.rs
 
 
 class PVCell:
@@ -63,6 +124,15 @@ class PVCell:
 
     All voltages/currents are terminal quantities of one cell.  Irradiance is
     in W/m^2 and temperatures are *cell* temperatures in Celsius.
+
+    The cell keeps the :class:`DiodeTerms` of the last (G, T) it saw and
+    reuses them while (G, T) is unchanged, so a root-find that probes one
+    curve a dozen times computes its terms once.  The terms sit in one
+    attribute that a call reads once into a local and replaces with one
+    store: threads sharing the cell at different (G, T) can cost each other
+    a rebuild, never an answer.  Only ``float`` inputs are reused (a
+    ``numpy.float32`` equal to a float computes in its own precision), and
+    a NaN input never matches, so it rebuilds on every call.
     """
 
     def __init__(self, params: CellParameters) -> None:
@@ -70,6 +140,7 @@ class PVCell:
         # Saturation current calibrated so that I(Voc) = 0 at STC.
         vt_ref = params.thermal_voltage(STC_TEMPERATURE_C)
         self._i0_ref = params.isc_ref / math.expm1(params.voc_ref / vt_ref)
+        self._terms = DiodeTerms(self, math.nan, math.nan)  # matches no (G, T)
 
     # ------------------------------------------------------------------
     # Environment-dependent source terms
@@ -99,6 +170,26 @@ class PVCell:
         )
         return self._i0_ref * (t / t_ref) ** 3 * math.exp(exponent)
 
+    def _terms_at(self, irradiance: float, temperature_c: float) -> DiodeTerms:
+        terms = self._terms
+        if (
+            irradiance != terms.irradiance
+            or temperature_c != terms.temperature_c
+            or type(irradiance) is not float
+            or type(temperature_c) is not float
+        ):
+            terms = self._build_terms(irradiance, temperature_c)
+        return terms
+
+    def _build_terms(self, irradiance: float, temperature_c: float) -> DiodeTerms:
+        terms = DiodeTerms(self, irradiance, temperature_c)
+        tel = telemetry_hub.current()
+        if tel.enabled:
+            tel.count("pv.term_builds")
+        if type(irradiance) is float and type(temperature_c) is float:
+            self._terms = terms
+        return terms
+
     # ------------------------------------------------------------------
     # Terminal characteristics
     # ------------------------------------------------------------------
@@ -111,30 +202,20 @@ class PVCell:
         returned current may be negative beyond open circuit (the diode
         conducts); physical operation clamps to the first quadrant.
         """
-        p = self.params
-        vt = p.thermal_voltage(temperature_c)
-        iph = self.photocurrent(irradiance, temperature_c)
-        i0 = self.saturation_current(temperature_c)
-        if p.series_resistance == 0.0:
-            return iph - i0 * math.expm1(voltage / vt)
-        rs = p.series_resistance
-        # I = Iph + I0 - (Vt/Rs) * W((I0*Rs/Vt) * exp((V + (Iph+I0)*Rs)/Vt))
-        log_arg = math.log(i0 * rs / vt) + (voltage + (iph + i0) * rs) / vt
-        return iph + i0 - (vt / rs) * lambertw_of_exp(log_arg)
+        # _terms_at inlined: this is every root-finder's innermost call.
+        terms = self._terms
+        if (
+            irradiance != terms.irradiance
+            or temperature_c != terms.temperature_c
+            or type(irradiance) is not float
+            or type(temperature_c) is not float
+        ):
+            terms = self._build_terms(irradiance, temperature_c)
+        return terms.current(voltage)
 
     def voltage(self, current: float, irradiance: float, temperature_c: float) -> float:
         """Terminal voltage [V] at the given output current (exact inverse)."""
-        p = self.params
-        vt = p.thermal_voltage(temperature_c)
-        iph = self.photocurrent(irradiance, temperature_c)
-        i0 = self.saturation_current(temperature_c)
-        headroom = iph + i0 - current
-        if headroom <= 0.0:
-            raise ValueError(
-                f"current {current} A exceeds the cell's source capability "
-                f"({iph + i0:.6g} A); no forward operating point exists"
-            )
-        return vt * math.log(headroom / i0) - current * p.series_resistance
+        return self._terms_at(irradiance, temperature_c).voltage(current)
 
     def currents(
         self,
@@ -158,7 +239,7 @@ class PVCell:
         """``Voc`` [V]: terminal voltage at zero output current."""
         if irradiance <= 0.0:
             return 0.0
-        return self.voltage(0.0, irradiance, temperature_c)
+        return self._terms_at(irradiance, temperature_c).voltage(0.0)
 
     def power(self, voltage: float, irradiance: float, temperature_c: float) -> float:
         """Output power [W] at the given terminal voltage."""

@@ -33,7 +33,7 @@ class IVCurve:
         voltage: Terminal voltages [V], ascending from 0 to Voc.
         current: Output currents [A] at each voltage.
         irradiance: Irradiance [W/m^2] the curve was sampled at.
-        temperature_c: Ambient temperature [C] the curve was sampled at.
+        temperature_c: Cell temperature [C] the curve was sampled at.
     """
 
     voltage: np.ndarray
@@ -81,7 +81,7 @@ def sample_iv_curve(
     Args:
         device: Cell, module, or array.
         irradiance: Plane-of-array irradiance [W/m^2]; must be positive.
-        temperature_c: Ambient temperature [C].
+        temperature_c: Cell temperature [C].
         n_points: Number of voltage samples (>= 2).
 
     Returns:

@@ -27,7 +27,7 @@ class MaxPowerPoint:
         current: MPP output current ``Impp`` [A].
         power: Maximum output power ``Pmax`` [W].
         irradiance: Irradiance [W/m^2] at which the MPP holds.
-        temperature_c: Ambient temperature [C] at which the MPP holds.
+        temperature_c: Cell temperature [C] at which the MPP holds.
     """
 
     voltage: float
@@ -49,7 +49,7 @@ def find_mpp(
         device: Cell, module, or array.
         irradiance: Plane-of-array irradiance [W/m^2].  Non-positive
             irradiance yields a zero-power MPP (the panel is dark).
-        temperature_c: Ambient temperature [C].
+        temperature_c: Cell temperature [C].
         tolerance: Absolute voltage tolerance of the bounded maximization.
 
     Returns:

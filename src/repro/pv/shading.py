@@ -54,7 +54,11 @@ class ShadedSeriesString:
                 f"shading factors must be in (0, 1], got {shading_factors}"
             )
         self.shading_factors = tuple(shading_factors)
-        self.module = PVModule(module_params or bp3180n())
+        params = module_params or bp3180n()
+        # One module object per position: each keeps the diode terms of its
+        # own irradiance, so the probes of a string solve reuse them.
+        self.modules = tuple(PVModule(params) for _ in self.shading_factors)
+        self.module = self.modules[0]
 
     @property
     def n_modules(self) -> int:
@@ -81,10 +85,10 @@ class ShadedSeriesString:
         if current < 0:
             raise ValueError(f"current must be >= 0, got {current}")
         total = 0.0
-        for factor in self.shading_factors:
+        for module, factor in zip(self.modules, self.shading_factors):
             local_g = irradiance * factor
             try:
-                v_module = self.module.voltage(current, local_g, cell_temp_c)
+                v_module = module.voltage(current, local_g, cell_temp_c)
             except ValueError:  # current exceeds this module's capability
                 v_module = -_BYPASS_DROP_V
             total += max(v_module, -_BYPASS_DROP_V)
@@ -93,17 +97,16 @@ class ShadedSeriesString:
     def max_string_current(self, irradiance: float, cell_temp_c: float) -> float:
         """Short-circuit current of the *brightest* module [A]."""
         brightest = max(self.shading_factors)
-        return self.module.short_circuit_current(
-            irradiance * brightest, cell_temp_c
-        )
+        module = self.modules[self.shading_factors.index(brightest)]
+        return module.short_circuit_current(irradiance * brightest, cell_temp_c)
 
     def open_circuit_voltage(self, irradiance: float, cell_temp_c: float) -> float:
         """String Voc [V]: the sum of module Vocs at their local irradiance."""
         if irradiance <= 0.0:
             return 0.0
         return sum(
-            self.module.open_circuit_voltage(irradiance * f, cell_temp_c)
-            for f in self.shading_factors
+            module.open_circuit_voltage(irradiance * f, cell_temp_c)
+            for module, f in zip(self.modules, self.shading_factors)
         )
 
     def current(self, voltage: float, irradiance: float, cell_temp_c: float) -> float:

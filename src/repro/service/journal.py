@@ -43,7 +43,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.atomicio import write_atomic
+from repro.atomicio import remove_orphaned_temps, write_atomic
 from repro.service.jobs import JOB_STATES, Job, JobSpec, JobSpecError
 
 __all__ = ["JournalCorruption", "ReplayReport", "JobJournal"]
@@ -92,7 +92,9 @@ class JobJournal:
 
     ``journal.jsonl`` is the only job-state file: every append is fsynced
     before it returns (that *is* the acknowledgment guarantee), and
-    compaction rewrites the file in place.
+    compaction rewrites the file in place.  Opening the journal removes
+    compaction temps that a killed server left behind
+    (:func:`~repro.atomicio.remove_orphaned_temps`).
 
     Args:
         root: Directory holding ``journal.jsonl`` (created if missing).
@@ -103,6 +105,7 @@ class JobJournal:
     def __init__(self, root: str | os.PathLike, *, compact_every: int = 1024) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        remove_orphaned_temps(self.root, ("journal-*.tmp",))
         self.journal_path = self.root / "journal.jsonl"
         self.compact_every = max(1, int(compact_every))
         self.appends = 0

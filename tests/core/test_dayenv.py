@@ -242,6 +242,12 @@ class TestCountedWork:
         assert counters["environment.builds"] == len(self.CELLS)
         assert counters["pv.mpp_solves"] == len(self.CELLS) * steps
         assert counters["sim.days"] == len(tasks)
+        # One set of diode terms per MPP solve and per tracking event: every
+        # probe of an event's root-finds reuses its (G, T) terms (per probe,
+        # this grid would compute them 73,386 times).
+        assert counters["pv.term_builds"] == (
+            counters["pv.mpp_solves"] + counters["sim.tracking_events"]
+        ) == 472
 
     #: A table day's counted work on the same 12 tasks, at any ``jobs``.
     TABLE_WORK = {
@@ -276,6 +282,9 @@ class TestCountedWork:
         assert 1 <= builds <= jobs
         # A build's 512-sample self-check is a table day's only exact MPP work.
         assert counters["pv.mpp_solves"] == 512 * builds
+        # Each self-check sample solves its MPP and operating point on one
+        # set of diode terms.
+        assert counters["pv.term_builds"] == 512 * builds
 
     @pytest.mark.parametrize("faults, solves", [
         ("sensor_dropout@600-660,seed=7", False),

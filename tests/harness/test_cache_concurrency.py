@@ -11,6 +11,7 @@ comment.
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.atomicio import ORPHAN_AGE_S
 from repro.harness.parallel import DiskResultCache, SweepTask
 from repro.harness.runner import SimulationRunner
 
@@ -116,6 +118,21 @@ def test_interrupted_write_leaves_no_entry(tmp_path):
         cache.store(KEY, Unpicklable())
     assert cache.load(KEY) is None
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_opening_the_cache_removes_only_old_write_temps(tmp_path, caplog):
+    # A writer SIGKILLed between mkstemp and the rename or link leaves its
+    # temp behind; the next open removes it once no live write can own it.
+    DiskResultCache(tmp_path, fingerprint="race-test")
+    then = time.time() - ORPHAN_AGE_S - 60
+    for name in ("tmpa.tmp", "tmpb.lease-claim", "tmpc.tmp"):
+        (tmp_path / name).write_bytes(b"partial")
+    for name in ("tmpa.tmp", "tmpb.lease-claim"):
+        os.utime(tmp_path / name, (then, then))
+    with caplog.at_level(logging.WARNING, logger="repro.atomicio"):
+        DiskResultCache(tmp_path, fingerprint="race-test")
+    assert sorted(p.name for p in tmp_path.glob("tmp*")) == ["tmpc.tmp"]
+    assert "removed 2 orphaned temp file(s)" in caplog.text
 
 
 def test_corrupt_entry_is_deleted_and_recomputed_not_served(tmp_path):

@@ -51,6 +51,15 @@ class TestStringPhysics:
             shaded.module.short_circuit_current(900.0, 40.0)
         )
 
+    def test_each_module_keeps_its_own_diode_terms(self):
+        """Each position sees its own irradiance for a whole string solve,
+        so every probe reuses that position's diode terms."""
+        string = ShadedSeriesString((1.0, 0.4, 0.7))
+        with telemetry_session() as hub:
+            string.current(60.0, 900.0, 40.0)
+            find_global_mpp(string, 900.0, 40.0)
+        assert hub.snapshot()["counters"]["pv.term_builds"] == 3
+
     def test_bypass_enables_high_current(self, shaded):
         """At currents above the shaded module's capability the string still
         conducts — the bypass diode carries it at a small negative drop."""

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import time
 
 import pytest
 
+from repro.atomicio import ORPHAN_AGE_S
 from repro.harness.parallel import SweepTask
 from repro.service.jobs import (
     DONE,
@@ -251,3 +255,15 @@ def test_snapshot_left_by_an_older_server_is_named_not_read(tmp_path):
         report = JobJournal(tmp_path).replay()
     assert [j.job_id for j in report.jobs] == [job.job_id]
     assert report.corrupt_lines == 0
+
+
+def test_opening_a_journal_removes_only_old_compaction_temps(tmp_path, caplog):
+    # A server killed mid-compaction leaves its journal-*.tmp behind.
+    then = time.time() - ORPHAN_AGE_S - 60
+    (tmp_path / "journal-old.tmp").write_text("partial")
+    (tmp_path / "journal-new.tmp").write_text("partial")
+    os.utime(tmp_path / "journal-old.tmp", (then, then))
+    with caplog.at_level(logging.WARNING, logger="repro.atomicio"):
+        JobJournal(tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("*.tmp")) == ["journal-new.tmp"]
+    assert "removed 1 orphaned temp file(s)" in caplog.text

@@ -1,10 +1,12 @@
 """Tests for the one atomic-write path (``repro.atomicio.write_atomic``)."""
 
+import logging
 import os
+import time
 
 import pytest
 
-from repro.atomicio import write_atomic
+from repro.atomicio import ORPHAN_AGE_S, remove_orphaned_temps, write_atomic
 
 
 def test_replaces_the_file_with_bytes_or_utf8_text(tmp_path):
@@ -38,3 +40,24 @@ def test_exclusive_creates_the_file_once_and_leaves_no_temp(tmp_path):
         write_atomic(path, b"second", suffix=".lease-claim", exclusive=True)
     assert path.read_bytes() == b"first"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.lease"]
+
+
+def _backdate(path, seconds):
+    then = time.time() - seconds
+    os.utime(path, (then, then))
+
+
+def test_remove_orphaned_temps_takes_only_old_matching_files(tmp_path, caplog):
+    old, fresh, other = (tmp_path / n for n in ("tmpold.tmp", "tmpnew.tmp", "entry.pkl"))
+    for path in (old, fresh, other):
+        path.write_bytes(b"x")
+    _backdate(old, ORPHAN_AGE_S + 60)
+    _backdate(other, ORPHAN_AGE_S + 60)
+    with caplog.at_level(logging.WARNING, logger="repro.atomicio"):
+        assert remove_orphaned_temps(tmp_path, ("tmp*.tmp",)) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.pkl", "tmpnew.tmp"]
+    assert "removed 1 orphaned temp file(s)" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="repro.atomicio"):
+        assert remove_orphaned_temps(tmp_path, ("tmp*.tmp",)) == 0
+    assert caplog.text == ""
