@@ -1,9 +1,10 @@
 """Atomic file creation: a reader sees the old bytes or the new, never a mix.
 
 The one write path behind every durable file of the package: disk result
-cache entries, cache leases and their takeover claims, run-ledger
-manifests and the compacted job journal.  Each comes into being whole and
-fsynced.  Stdlib only, so every layer can import it.
+cache entries, run-ledger manifests and the compacted job journal.  Each
+comes into being whole and fsynced.  (A cache's compute leases are lock
+files, not data, and never go through here.)  Stdlib only, so every layer
+can import it.
 """
 
 from __future__ import annotations
@@ -20,51 +21,38 @@ log = logging.getLogger(__name__)
 
 #: Age [s] past which a write's temp file is an orphan.  A live write holds
 #: its temp file for milliseconds; one this old was left by a process killed
-#: between creating it and the rename or link.
+#: between creating it and the rename.
 ORPHAN_AGE_S = 3600.0
 
 
 def write_atomic(
-    path: str | os.PathLike,
-    data: bytes | str,
-    *,
-    prefix: str = "tmp",
-    suffix: str = ".tmp",
-    exclusive: bool = False,
+    path: str | os.PathLike, data: bytes | str, *, prefix: str = "tmp"
 ) -> Path:
     """Replace ``path`` with ``data`` (str is written as UTF-8).
 
-    The data goes to a ``prefix*suffix`` temp file in the same directory,
+    The data goes to a ``prefix*.tmp`` temp file in the same directory,
     is flushed and fsynced, and the temp file is ``os.replace``\\ d onto
-    ``path``.  With ``exclusive`` the temp file is hard-linked to ``path``
-    instead, which raises ``FileExistsError`` when ``path`` exists: of N
-    racing writers exactly one creates the file, and it appears complete.
-    The temp file is removed on any failure (the error is re-raised) and
-    after a link; failing to remove it is logged, never raised.  The
-    directory is not fsynced: a crash may lose the rename or link, never
-    the contents of a file that is visible.
+    ``path``.  The temp file is removed on any failure (the error is
+    re-raised); failing to remove it is logged, never raised.  The
+    directory is not fsynced: a crash may lose the rename, never the
+    contents of a file that is visible.
     """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=suffix)
-    leftover = tmp  # removed on failure, and after a link made ``path`` live
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
-        if exclusive:
-            os.link(tmp, path)
-        else:
-            os.replace(tmp, path)
-            leftover = None
-    finally:
-        if leftover is not None:
-            try:
-                os.unlink(leftover)
-            except OSError as exc:
-                log.warning("could not clean up temp file %s: %s", leftover, exc)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError as exc:
+            log.warning("could not clean up temp file %s: %s", tmp, exc)
+        raise
     return path
 
 

@@ -607,7 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8321,
                        help="bind port; 0 picks an ephemeral port")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="shared persistent result cache for every job")
+                       help="shared persistent result cache for every job "
+                            "(servers on one host sharing it compute each "
+                            "key once)")
     serve.add_argument("--max-workers", type=_int_in(1), default=4,
                        metavar="N",
                        help="compute threads multiplexing jobs (default: 4)")
@@ -634,13 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SIGTERM/SIGINT grace: wait this long for "
                             "in-flight jobs before journaling them as "
                             "interrupted (default: 10)")
-    serve.add_argument("--lease-stale", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="cross-process compute lease heartbeat timeout, "
-                            "> 0 (with --cache-dir, N servers on one cache "
-                            "dir compute each key once; a lease whose owner "
-                            "process is gone from this host is taken over "
-                            "at once)")
 
     return parser
 
@@ -681,7 +676,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal_dir=args.journal_dir,
         recover=args.recover,
         drain_timeout_s=args.drain_timeout,
-        lease_stale_s=args.lease_stale,
     )
 
     async def _serve() -> None:
@@ -765,8 +759,6 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "task_timeout", None) is not None and args.jobs < 2:
         parser.error("--task-timeout needs --jobs >= 2: only a worker "
                      "process can be abandoned when a task hangs")
-    if args.command == "serve" and args.lease_stale <= 0:
-        parser.error("--lease-stale must be > 0")
 
     if args.log_level is not None:
         from repro.telemetry import configure_logging

@@ -33,17 +33,15 @@ in parallel, or read back from disk — enforced by the golden tests in
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
-import json
 import logging
 import os
 import pickle
 import random
-import socket
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -292,104 +290,31 @@ def compute_task(
 # ----------------------------------------------------------------------
 # Persistent disk cache
 # ----------------------------------------------------------------------
-@dataclass
 class CacheLease:
-    """Ownership of one key's compute, held via an on-disk lease file.
+    """Ownership of one key's compute: an exclusive ``flock`` on the key's
+    ``.lease`` file, held through the open descriptor ``fd``.
 
-    The file's *mtime is the heartbeat*: :meth:`refresh` touches it, and
-    :meth:`DiskResultCache.try_lease` treats an mtime older than its
-    staleness bound as a dead owner.  The file also names its owner (pid,
-    host, boot id), so a lease whose owner process is gone from this host
-    and boot is stale at once.  The token written inside the file is the
-    identity check — every mutation verifies it first, so a lease taken
-    over by another process is never refreshed or released by the
-    original (now deposed) owner.
+    The kernel drops the lock when its holder dies, however it dies, so a
+    dead owner's key is free at once.  :meth:`release` unlinks the file
+    while still holding the lock and then closes it: no lock file is ever
+    unlinked from under its holder, and a copy of ``fd`` inherited by a
+    forked child locks only the unlinked file, never a later taker's.
     """
 
-    path: Path
-    token: str
-
-    def owned(self) -> bool:
-        """Does the lease file still carry our token?"""
-        try:
-            doc = json.loads(self.path.read_bytes())
-            return doc.get("token") == self.token
-        except (OSError, ValueError):
-            return False
-
-    def refresh(self) -> bool:
-        """Heartbeat: bump the lease mtime if we still own it."""
-        if not self.owned():
-            return False
-        try:
-            os.utime(self.path, None)
-        except OSError:
-            return False
-        return True
+    def __init__(self, path: Path, fd: int) -> None:
+        self.path = path
+        self.fd: int | None = fd
 
     def release(self) -> None:
-        """Drop the lease if we still own it (idempotent, never raises)."""
-        if self.owned():
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-
-    @contextmanager
-    def heartbeats(self, interval_s: float):
-        """Refresh the lease from a daemon thread while the body runs.
-
-        The thread stops on exit or the first failed refresh (a deposed
-        lease is unrecoverable; the compute still runs to completion —
-        the worst case is duplicated work on a deterministic result).
-        """
-        stop = threading.Event()
-
-        def beat() -> None:
-            while not stop.wait(interval_s):
-                if not self.refresh():
-                    return
-
-        thread = threading.Thread(
-            target=beat, name="cache-lease-heartbeat", daemon=True)
-        thread.start()
+        """Drop the lease (idempotent, never raises)."""
+        if self.fd is None:
+            return
         try:
-            yield self
-        finally:
-            stop.set()
-            thread.join(timeout=5.0)
-
-
-@lru_cache(maxsize=1)
-def _host_identity() -> tuple[str, str]:
-    """(host name, boot id) of this machine; the boot id is empty where
-    ``/proc/sys/kernel/random/boot_id`` does not exist."""
-    try:
-        boot = Path("/proc/sys/kernel/random/boot_id").read_text().strip()
-    except OSError:
-        boot = ""
-    return socket.gethostname(), boot
-
-
-def _owner_gone(lease_path: Path) -> bool:
-    """Is the lease's owner a process of this host and boot that no
-    longer exists?  False whenever that cannot be told (another host or
-    boot, an unreadable file): such leases keep the mtime rule."""
-    try:
-        doc = json.loads(lease_path.read_bytes())
-    except (OSError, ValueError):
-        return False
-    host, boot = _host_identity()
-    pid = doc.get("pid")
-    if (doc.get("host"), doc.get("boot")) != (host, boot) or not isinstance(pid, int):
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except OSError:
-        return False  # it exists (e.g. another user's process)
-    return False
+            self.path.unlink()
+        except OSError:
+            pass
+        os.close(self.fd)
+        self.fd = None
 
 
 class DiskResultCache:
@@ -416,7 +341,7 @@ class DiskResultCache:
         self.hits = 0
         self.misses = 0
         self._ensure_format()
-        remove_orphaned_temps(self.root, ("tmp*.tmp", "tmp*.lease-claim"))
+        remove_orphaned_temps(self.root, ("tmp*.tmp",))
 
     def _ensure_format(self) -> None:
         """Purge entries written by an older cache format — loudly.
@@ -537,92 +462,52 @@ class DiskResultCache:
         """The lease file guarding ``key``'s compute (beside the entry)."""
         return self.path_for(key).with_suffix(".lease")
 
-    def lease_age_s(self, key: tuple) -> float | None:
-        """Seconds since the lease's last heartbeat, or None if no lease."""
-        try:
-            return max(0.0, time.time() - self.lease_path_for(key).stat().st_mtime)
-        except OSError:
-            return None
-
-    def try_lease(self, key: tuple, *, stale_after_s: float = 30.0) -> CacheLease | None:
+    def try_lease(self, key: tuple) -> CacheLease | None:
         """Try to become the one process computing ``key``.
 
-        Returns a :class:`CacheLease` on success, None when another live
-        process holds the lease (the caller should follow: poll
-        :meth:`load` until the result lands or the lease goes stale).
-
-        The protocol, in order of preference:
-
-        1. Create the lease file whole: a fsynced claim file naming its
-           owner is hard-linked into place, which fails if the lease
-           exists, so exactly one of N racing processes wins a fresh
-           election and no lease file is ever empty.
-        2. If it exists but its mtime (the heartbeat) is older than
-           ``stale_after_s``, or its owner is a process of this host and
-           boot that no longer exists, take it over: atomically
-           ``os.replace`` a claim file onto it, then *read back* the
-           token.  Replace is last-writer-wins, so the read-back is what
-           decides the election — every taker but one sees a foreign
-           token and loses.
-
-        Worst case under pathological timing (owner stalls longer than
-        ``stale_after_s`` then resumes) is two processes computing the
-        same deterministic entry and racing atomic stores of identical
-        bytes — duplicated work, never corruption.
+        Returns a :class:`CacheLease` on success, None while another
+        holder has the key (the caller follows: it polls :meth:`load`
+        and tries again).  The lease is an exclusive, non-blocking
+        ``flock`` on the key's ``.lease`` file, one lock per open file,
+        so two threads of one process exclude each other as two
+        processes do.  The lock is kept only if the locked file is still
+        the one at the path: a taker that opened the file just before
+        its holder's release unlinked it would otherwise lock a file no
+        later taker can see, so it closes that one and tries again.
         """
         path = self.lease_path_for(key)
         self.root.mkdir(parents=True, exist_ok=True)
-        token = f"{os.getpid()}-{random.getrandbits(64):016x}"
-        host, boot = _host_identity()
-        payload = json.dumps({
-            "pid": os.getpid(), "host": host, "boot": boot, "token": token,
-            "created": time.time(),
-        }).encode()
-        try:
-            write_atomic(path, payload, suffix=".lease-claim", exclusive=True)
-        except FileExistsError:
+        while True:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
             try:
-                age = time.time() - path.stat().st_mtime
-            except OSError:
-                return None  # vanished: owner just released; caller re-polls
-            if age > stale_after_s:
-                why = f"{age:.1f}s > {stale_after_s:.1f}s"
-            elif _owner_gone(path):
-                why = "its owner process is gone"
-            else:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.path.samestat(os.fstat(fd), os.stat(path)):
+                    return CacheLease(path, fd)
+            except BlockingIOError:
+                os.close(fd)
                 return None
-            log.warning("cache lease %s is stale (%s); taking over", path.name, why)
-            write_atomic(path, payload, suffix=".lease-claim")
-            lease = CacheLease(path=path, token=token)
-            return lease if lease.owned() else None
-        return CacheLease(path=path, token=token)
+            except FileNotFoundError:
+                pass
+            except BaseException:
+                os.close(fd)
+                raise
+            # The file we locked was released and unlinked after we opened it.
+            os.close(fd)
 
-    def load_or_compute(
-        self,
-        key: tuple,
-        compute,
-        *,
-        stale_after_s: float = 30.0,
-        heartbeat_s: float | None = None,
-        poll_s: float = 0.05,
-    ):
+    def load_or_compute(self, key: tuple, compute, *, poll_s: float = 0.05):
         """Cross-process-deduplicated compute: ``(result, computed_by_us)``.
 
-        Exactly one process per cache directory computes ``key`` at a
-        time; everyone else waits on the lease and reads the stored
-        result.  A leader that dies mid-compute (``kill -9``) stops
-        heartbeating; its lease goes stale at once on the leader's own
-        host and boot, elsewhere after ``stale_after_s``, and a follower
-        is re-elected — no key can wedge forever.
+        Exactly one holder of the key's lease computes it at a time;
+        everyone else polls :meth:`load` for the stored result and
+        retries the lease, so a leader that dies mid-compute
+        (``kill -9``) is replaced by the next follower to poll.
 
         The caller is expected to have tried :meth:`load` already;
         internal polling loads use ``count=False`` so one logical lookup
         does not inflate the hit/miss counters.
         """
-        if heartbeat_s is None:
-            heartbeat_s = max(stale_after_s / 3.0, 0.01)
         while True:
-            lease = self.try_lease(key, stale_after_s=stale_after_s)
+            lease = self.try_lease(key)
             if lease is not None:
                 try:
                     # A racer may have stored between our load miss and
@@ -630,22 +515,15 @@ class DiskResultCache:
                     result = self.load(key, count=False)
                     if result is not None:
                         return result, False
-                    with lease.heartbeats(heartbeat_s):
-                        result = compute()
-                        self.store(key, result)
+                    result = compute()
+                    self.store(key, result)
                     return result, True
                 finally:
                     lease.release()
-            # Follower: wait for the leader's store, re-elect if it dies.
-            while True:
-                result = self.load(key, count=False)
-                if result is not None:
-                    return result, False
-                age = self.lease_age_s(key)
-                if (age is None or age > stale_after_s
-                        or _owner_gone(self.lease_path_for(key))):
-                    break  # lease released or gone stale: re-elect
-                time.sleep(poll_s)
+            result = self.load(key, count=False)
+            if result is not None:
+                return result, False
+            time.sleep(poll_s)
 
     def stats(self) -> dict[str, float]:
         """``hits`` / ``misses`` counters for this cache handle."""

@@ -29,7 +29,7 @@ import platform
 import time
 from pathlib import Path
 
-from repro.atomicio import write_atomic
+from repro.atomicio import remove_orphaned_temps, write_atomic
 from repro.telemetry import hub as telemetry_hub
 from repro.telemetry.summary import WORK_COUNTER_PREFIXES
 
@@ -166,12 +166,17 @@ def build_manifest(
 class RunLedger:
     """A directory of run manifests, one atomic JSON file per run.
 
+    Opening the ledger removes temp files that a process killed inside
+    :meth:`record` left behind
+    (:func:`~repro.atomicio.remove_orphaned_temps`).
+
     Args:
         root: The runs directory (created on first record).
     """
 
     def __init__(self, root: str | Path = DEFAULT_RUNS_DIR) -> None:
         self.root = Path(root)
+        remove_orphaned_temps(self.root, ("tmp*.tmp",))
 
     def _unique_run_id(self, command: str) -> str:
         base = time.strftime("%Y%m%d-%H%M%S", time.gmtime())

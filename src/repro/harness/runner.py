@@ -68,17 +68,15 @@ class SimulationRunner:
         config: Simulation configuration shared by every run.
         jobs: Worker processes used by :meth:`prefetch` (1 = in-process).
         cache_dir: Directory for the persistent result cache, or None to
-            keep results in memory only.
+            keep results in memory only.  With it, every single miss goes
+            through the cross-process lease
+            (:meth:`~repro.harness.parallel.DiskResultCache.load_or_compute`):
+            N processes sharing one cache directory produce exactly one
+            compute per key, and a leader that dies is replaced at once.
         retries: Retry waves for failed prefetch tasks (see
             :func:`~repro.harness.parallel.run_parallel`).
         task_timeout: Per-task wall-clock budget [s] for prefetches
             (None = unbounded); needs ``jobs >= 2``.
-        lease_stale_s: With a disk cache, every single miss goes through
-            the cross-process lease protocol
-            (:meth:`~repro.harness.parallel.DiskResultCache.load_or_compute`):
-            N processes sharing one cache directory produce exactly one
-            compute per key, and a leader silent for this many seconds
-            (or, on this host, whose process is gone) is replaced.
     """
 
     def __init__(
@@ -89,7 +87,6 @@ class SimulationRunner:
         cache_dir=None,
         retries: int = 0,
         task_timeout: float | None = None,
-        lease_stale_s: float = 30.0,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -100,12 +97,9 @@ class SimulationRunner:
                 "task_timeout needs jobs >= 2: only a worker process can be "
                 "abandoned when a task hangs"
             )
-        if lease_stale_s <= 0:
-            raise ValueError(f"lease_stale_s must be > 0, got {lease_stale_s}")
         self.config = config or SolarCoreConfig()
         self.jobs = jobs
         self.disk = DiskResultCache(cache_dir) if cache_dir is not None else None
-        self.lease_stale_s = lease_stale_s
         #: Computes this runner ceded to another process's lease.
         self.lease_follows = 0
         self.retries = retries
@@ -197,9 +191,7 @@ class SimulationRunner:
         else:
             # Cross-process dedup: exactly one process on this cache dir
             # computes the key; everyone else waits and reads the store.
-            result, computed = self.disk.load_or_compute(
-                key, compute, stale_after_s=self.lease_stale_s
-            )
+            result, computed = self.disk.load_or_compute(key, compute)
         tel = telemetry_hub.current()
         if not computed:
             self.lease_follows += 1

@@ -176,6 +176,8 @@ class SolarCoreService:
             identity).
         host / port: Bind address (port 0 = ephemeral, for tests).
         cache_dir: Shared persistent result cache for every runner.
+            Server processes on one host that share it compute each key
+            once, through the cache's compute lease.
         max_workers: Compute threads, shared by every runner.  Threads,
             not processes: results come back as live objects, each
             runner's memory memo is shared by every compute, and
@@ -199,11 +201,6 @@ class SolarCoreService:
             fails them with an explanatory error.
         drain_timeout_s: Default budget :meth:`drain` waits for in-flight
             jobs before journaling them as ``interrupted``.
-        lease_stale_s: With ``cache_dir``, the cross-process compute
-            lease bound: N server processes sharing the cache directory
-            produce exactly one compute per key, and a leader silent for
-            this many seconds (or, on this host, whose process is gone)
-            is replaced.
     """
 
     def __init__(
@@ -222,7 +219,6 @@ class SolarCoreService:
         journal_dir=None,
         recover: str = "retry",
         drain_timeout_s: float = 10.0,
-        lease_stale_s: float = 30.0,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -240,7 +236,6 @@ class SolarCoreService:
         self.max_queue = max_queue
         self.recover = recover
         self.drain_timeout_s = drain_timeout_s
-        self.lease_stale_s = lease_stale_s
         self.table = JobTable()
         self.coalescer = Coalescer()
         self.stream_hub = StreamHub(client_queue_size=client_queue_size)
@@ -434,10 +429,7 @@ class SolarCoreService:
                     "chip_spec": chip,
                 })
             )
-            runner = SimulationRunner(
-                config, cache_dir=self.cache_dir,
-                lease_stale_s=self.lease_stale_s,
-            )
+            runner = SimulationRunner(config, cache_dir=self.cache_dir)
             self._runners[key] = runner
         return runner
 

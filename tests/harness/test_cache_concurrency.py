@@ -10,11 +10,12 @@ comment.
 
 from __future__ import annotations
 
-import json
+import fcntl
 import logging
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -121,18 +122,17 @@ def test_interrupted_write_leaves_no_entry(tmp_path):
 
 
 def test_opening_the_cache_removes_only_old_write_temps(tmp_path, caplog):
-    # A writer SIGKILLed between mkstemp and the rename or link leaves its
+    # A writer SIGKILLed between mkstemp and the rename leaves its
     # temp behind; the next open removes it once no live write can own it.
     DiskResultCache(tmp_path, fingerprint="race-test")
     then = time.time() - ORPHAN_AGE_S - 60
-    for name in ("tmpa.tmp", "tmpb.lease-claim", "tmpc.tmp"):
+    for name in ("tmpa.tmp", "tmpc.tmp"):
         (tmp_path / name).write_bytes(b"partial")
-    for name in ("tmpa.tmp", "tmpb.lease-claim"):
-        os.utime(tmp_path / name, (then, then))
+    os.utime(tmp_path / "tmpa.tmp", (then, then))
     with caplog.at_level(logging.WARNING, logger="repro.atomicio"):
         DiskResultCache(tmp_path, fingerprint="race-test")
     assert sorted(p.name for p in tmp_path.glob("tmp*")) == ["tmpc.tmp"]
-    assert "removed 2 orphaned temp file(s)" in caplog.text
+    assert "removed 1 orphaned temp file(s)" in caplog.text
 
 
 def test_corrupt_entry_is_deleted_and_recomputed_not_served(tmp_path):
@@ -170,9 +170,7 @@ def _lease_compute(root, name, barrier, errors, computes, compute_s):
             return Payload(writer=name)
 
         barrier.wait(timeout=30)
-        result, _computed = cache.load_or_compute(
-            KEY, compute, stale_after_s=5.0, poll_s=0.01
-        )
+        result, _computed = cache.load_or_compute(KEY, compute, poll_s=0.01)
         if not isinstance(result, Payload):
             errors.put(f"{name}: read garbage {result!r}")
     except BaseException as exc:  # noqa: BLE001 — reported to the parent
@@ -212,7 +210,7 @@ def test_lease_race_two_processes_compute_exactly_once(tmp_path):
 def _lease_and_hang(root, ready):
     """Take the lease, signal the parent, then hang until SIGKILLed."""
     cache = DiskResultCache(root, fingerprint="race-test")
-    lease = cache.try_lease(KEY, stale_after_s=30.0)
+    lease = cache.try_lease(KEY)
     assert lease is not None
     ready.set()
     time.sleep(300)
@@ -242,11 +240,10 @@ def test_stale_lease_takeover_after_sigkilled_owner(tmp_path):
         owner.join(timeout=30)
 
         cache = DiskResultCache(tmp_path, fingerprint="race-test")
-        # The corpse's lease is fresh, but its process is gone from this
-        # host: a follower takes over at once instead of waiting.
+        # The corpse's lease file is still there, but the kernel dropped
+        # its lock with the process: a follower takes over at once.
         result, computed = cache.load_or_compute(
-            KEY, lambda: Payload(writer="successor"),
-            stale_after_s=3600.0, poll_s=0.01,
+            KEY, lambda: Payload(writer="successor"), poll_s=0.01,
         )
         assert computed is True
         assert result.writer == "successor"
@@ -260,12 +257,12 @@ def test_dead_owner_lease_is_stale_at_once_live_owner_is_not(tmp_path):
     cache = DiskResultCache(tmp_path, fingerprint="race-test")
     owner = _start_lease_owner(tmp_path)
     try:
-        # A live owner's fresh lease holds, however long we would wait.
-        assert cache.try_lease(KEY, stale_after_s=3600.0) is None
+        # A live owner's lease holds, however long we would wait.
+        assert cache.try_lease(KEY) is None
         os.kill(owner.pid, signal.SIGKILL)
         owner.join(timeout=30)
         start = time.monotonic()
-        lease = cache.try_lease(KEY, stale_after_s=3600.0)
+        lease = cache.try_lease(KEY)
         assert lease is not None, "a dead owner's lease must be taken over"
         assert time.monotonic() - start < 1.0
         lease.release()
@@ -273,69 +270,35 @@ def test_dead_owner_lease_is_stale_at_once_live_owner_is_not(tmp_path):
         _stop(owner)
 
 
-class _DyingHandle:
-    """A file handle whose first write SIGKILLs the writing process."""
-
-    def __init__(self, handle):
-        self._handle = handle
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._handle.close()
-
-    def write(self, data):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _lease_killed_mid_write(root):
-    """Try for ``KEY``'s lease and die by SIGKILL while writing it."""
+def _lease_killed_before_locking(root):
+    """Open ``KEY``'s lease file and die by SIGKILL before locking it."""
     cache = DiskResultCache(root, fingerprint="race-test")
-    real_fdopen = os.fdopen
-    os.fdopen = lambda fd, *args, **kwargs: _DyingHandle(
-        real_fdopen(fd, *args, **kwargs))
-    cache.try_lease(KEY, stale_after_s=3600.0)
+    fcntl.flock = lambda fd, operation: os.kill(os.getpid(), signal.SIGKILL)
+    cache.try_lease(KEY)
 
 
 def test_lease_torn_by_sigkill_mid_write_is_taken_over_at_once(tmp_path):
-    """A process killed while writing its lease leaves no lease without an
-    owner, so a successor is elected at once, not after the staleness bound."""
+    """A process killed between creating the lease file and locking it
+    leaves a file that no one holds, so a successor is elected at once."""
     DiskResultCache(tmp_path, fingerprint="race-test")
     ctx = multiprocessing.get_context()
-    victim = ctx.Process(target=_lease_killed_mid_write, args=(str(tmp_path),))
+    victim = ctx.Process(target=_lease_killed_before_locking, args=(str(tmp_path),))
     victim.start()
     victim.join(timeout=30)
     assert victim.exitcode == -signal.SIGKILL
     cache = DiskResultCache(tmp_path, fingerprint="race-test")
+    assert cache.lease_path_for(KEY).exists()
     start = time.monotonic()
-    lease = cache.try_lease(KEY, stale_after_s=3600.0)
+    lease = cache.try_lease(KEY)
     assert lease is not None, "a lease torn by its writer's death must not hold"
     assert time.monotonic() - start < 1.0
-    lease.release()
-
-
-def test_lease_from_another_host_keeps_the_mtime_rule(tmp_path):
-    """A pid from another host (or boot) cannot be checked here: only its
-    heartbeat age can make that lease stale."""
-    cache = DiskResultCache(tmp_path, fingerprint="race-test")
-    path = cache.lease_path_for(KEY)
-    path.write_text(json.dumps({
-        "pid": 2 ** 22 + 1, "host": "elsewhere", "boot": "other-boot",
-        "token": "foreign", "created": time.time(),
-    }))
-    assert cache.try_lease(KEY, stale_after_s=3600.0) is None
-    old = time.time() - 60.0
-    os.utime(path, (old, old))
-    lease = cache.try_lease(KEY, stale_after_s=30.0)
-    assert lease is not None
     lease.release()
 
 
 def _lease_then_store(root, key, ready, go):
     """Lead ``key``'s compute: lease it, wait for ``go``, store, release."""
     cache = DiskResultCache(root)
-    lease = cache.try_lease(key, stale_after_s=30.0)
+    lease = cache.try_lease(key)
     assert lease is not None
     ready.set()
     assert go.wait(timeout=30)
@@ -373,23 +336,20 @@ def test_runner_with_only_cache_dir_follows_a_fresh_lease(tmp_path, monkeypatch)
 
 
 def test_heartbeat_keeps_slow_compute_leased(tmp_path):
-    # A compute slower than the staleness bound must NOT lose its lease,
-    # because the heartbeat thread keeps touching the lease file.
+    # A slow compute keeps its lease for as long as it runs: the lock
+    # lasts while its holder lives, with nothing to refresh.
     cache = DiskResultCache(tmp_path, fingerprint="race-test")
     other = DiskResultCache(tmp_path, fingerprint="race-test")
     observed = []
 
     def slow_compute():
-        # 1.2s of compute against a 0.6s staleness bound: without
-        # heartbeats the rival would see a stale lease and take over.
+        # 1.2s of compute, with a rival trying for the lease every 0.3s.
         for _ in range(4):
             time.sleep(0.3)
-            observed.append(other.try_lease(KEY, stale_after_s=0.6))
+            observed.append(other.try_lease(KEY))
         return Payload(writer="slow")
 
-    result, computed = cache.load_or_compute(
-        KEY, slow_compute, stale_after_s=0.6, heartbeat_s=0.1,
-    )
+    result, computed = cache.load_or_compute(KEY, slow_compute)
     assert computed is True
     assert result.writer == "slow"
     # The rival never managed a takeover at any point during the compute.
@@ -398,27 +358,106 @@ def test_heartbeat_keeps_slow_compute_leased(tmp_path):
 
 def test_released_lease_is_immediately_reacquirable(tmp_path):
     cache = DiskResultCache(tmp_path, fingerprint="race-test")
-    lease = cache.try_lease(KEY, stale_after_s=30.0)
+    lease = cache.try_lease(KEY)
     assert lease is not None
     lease.release()
-    second = cache.try_lease(KEY, stale_after_s=30.0)
+    second = cache.try_lease(KEY)
     assert second is not None
     second.release()
 
 
-def test_deposed_lease_refuses_refresh_and_release(tmp_path):
+def test_two_threads_of_one_process_exclude_each_other(tmp_path):
+    """The lock belongs to an open file, not to a process, so two compute
+    threads of one server cannot both lead a key."""
     cache = DiskResultCache(tmp_path, fingerprint="race-test")
-    original = cache.try_lease(KEY, stale_after_s=30.0)
-    assert original is not None
-    # Make the lease look dead, then let a rival take it over.
-    old = time.time() - 60.0
-    os.utime(cache.lease_path_for(KEY), (old, old))
-    usurper = cache.try_lease(KEY, stale_after_s=0.5)
-    assert usurper is not None
-    # The deposed owner can no longer refresh, and its release must not
-    # delete the usurper's lease out from under it.
-    assert original.refresh() is False
-    original.release()
-    assert cache.lease_path_for(KEY).exists()
-    assert usurper.refresh() is True
-    usurper.release()
+    held, done = threading.Event(), threading.Event()
+    first = []
+
+    def holder():
+        first.append(cache.try_lease(KEY))
+        held.set()
+        assert done.wait(timeout=30)
+        first[0].release()
+
+    thread = threading.Thread(target=holder)
+    thread.start()
+    try:
+        assert held.wait(timeout=30)
+        assert first[0] is not None
+        assert cache.try_lease(KEY) is None
+    finally:
+        done.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    second = cache.try_lease(KEY)
+    assert second is not None
+    second.release()
+
+
+def test_threads_racing_many_keys_compute_each_once(tmp_path):
+    """More threads than cores churn take, release and re-take on a few
+    keys; a second leader of any key would compute it twice."""
+    cache = DiskResultCache(tmp_path, fingerprint="race-test")
+    keys = [KEY[:-1] + (n,) for n in range(20)]
+    computes = {key: 0 for key in keys}
+    count_lock = threading.Lock()
+    errors = []
+
+    def compute_for(key):
+        def compute():
+            with count_lock:
+                computes[key] += 1
+            return Payload(writer=repr(key))
+        return compute
+
+    def racer(offset):
+        try:
+            for key in keys[offset:] + keys[:offset]:
+                result, _ = cache.load_or_compute(key, compute_for(key), poll_s=0.001)
+                assert result.writer == repr(key)
+        except BaseException as exc:  # noqa: BLE001 — reported to the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=racer, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert set(computes.values()) == {1}
+    assert list(tmp_path.glob("*.lease")) == []
+
+
+def test_taker_opening_before_a_release_locks_the_file_at_the_path(
+    tmp_path, monkeypatch
+):
+    """A taker that opened the lease file just before its holder unlinked
+    it must not keep a lock on the unlinked file, where later takers
+    cannot see it."""
+    cache = DiskResultCache(tmp_path, fingerprint="race-test")
+    holder = cache.try_lease(KEY)
+    assert holder is not None
+    real_flock = fcntl.flock
+    calls = []
+
+    def release_holder_first(fd, operation):
+        if not calls:
+            holder.release()  # the taker has opened the file by now
+        calls.append(fd)
+        return real_flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", release_holder_first)
+    taker = cache.try_lease(KEY)
+    monkeypatch.setattr(fcntl, "flock", real_flock)
+    assert len(calls) == 2, "the taker must retry on the file now at the path"
+    assert taker is not None
+    assert os.path.samestat(os.fstat(taker.fd), os.stat(taker.path))
+    assert cache.try_lease(KEY) is None
+    taker.release()
+    assert not cache.lease_path_for(KEY).exists()

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import time
 
 import pytest
 
+from repro.atomicio import ORPHAN_AGE_S
 from repro.core.config import SolarCoreConfig
 from repro.core.simulation import run_day
 from repro.environment.locations import PHOENIX_AZ
@@ -118,6 +122,20 @@ class TestRunLedger:
         ledger = RunLedger(tmp_path)
         ledger.record(build_manifest("simulate"))
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_opening_removes_only_old_write_temps(self, tmp_path, caplog):
+        # A process killed inside record()'s write leaves its temp file;
+        # the next open removes it once no live write can own it.
+        RunLedger(tmp_path).record(build_manifest("simulate"))
+        then = time.time() - ORPHAN_AGE_S - 60
+        for name in ("tmpold.tmp", "tmpnew.tmp"):
+            (tmp_path / name).write_bytes(b"{partial")
+        os.utime(tmp_path / "tmpold.tmp", (then, then))
+        with caplog.at_level(logging.WARNING, logger="repro.atomicio"):
+            ledger = RunLedger(tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("tmp*")) == ["tmpnew.tmp"]
+        assert "removed 1 orphaned temp file(s)" in caplog.text
+        assert len(ledger.run_ids()) == 1
 
     def test_load_unknown_run_names_known_ids(self, tmp_path):
         ledger = RunLedger(tmp_path)

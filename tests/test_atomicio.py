@@ -28,18 +28,9 @@ def test_failed_replace_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="disk full"):
-        write_atomic(path, b"new", suffix=".lease-claim")
+        write_atomic(path, b"new")
     assert path.read_bytes() == b"old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.json"]
-
-
-def test_exclusive_creates_the_file_once_and_leaves_no_temp(tmp_path):
-    path = tmp_path / "entry.lease"
-    write_atomic(path, b"first", suffix=".lease-claim", exclusive=True)
-    with pytest.raises(FileExistsError):
-        write_atomic(path, b"second", suffix=".lease-claim", exclusive=True)
-    assert path.read_bytes() == b"first"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.lease"]
 
 
 def _backdate(path, seconds):

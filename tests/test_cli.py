@@ -149,12 +149,6 @@ class TestUsageErrors:
         assert exit_info.value.code == 2
         assert "--task-timeout needs --jobs >= 2" in capsys.readouterr().err
 
-    def test_lease_stale_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--lease-stale", "0"])
-        assert exit_info.value.code == 2
-        assert "--lease-stale must be > 0" in capsys.readouterr().err
-
     def test_serve_has_no_jobs_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--jobs", "2"])
