@@ -7,22 +7,13 @@ energy at 400 W/m^2 — the motivation for supply-aware power management.
 import time
 
 from benchjson import write_bench_json
-from conftest import emit
-
-from repro.harness.experiments import fig01_fixed_load_utilization
-from repro.harness.reporting import format_table
 
 
-def test_fig01_fixed_load(benchmark, out_dir):
+def test_fig01_fixed_load(reproduce, out_dir):
     start = time.perf_counter()
-    rows = benchmark(fig01_fixed_load_utilization)
+    rows = reproduce("fig01")
     elapsed = time.perf_counter() - start
 
-    table = format_table(
-        ["irradiance W/m^2", "energy utilization"],
-        [[f"{g:.0f}", f"{u:.1%}"] for g, u in rows],
-    )
-    emit(out_dir, "fig01_fixed_load", table)
     write_bench_json(
         out_dir,
         "fig01_fixed_load",

@@ -1,33 +1,13 @@
 """Figure 4: single-cell I-V and P-V characteristics with the MPP."""
 
-from conftest import emit
-
-from repro.harness.experiments import fig04_cell_curves
-from repro.harness.reporting import format_table, sparkline
 from repro.pv.cell import PVCell
 from repro.pv.mpp import find_mpp
 from repro.pv.params import bp3180n
 
 
-def test_fig04_cell_curves(benchmark, out_dir):
-    curve = benchmark(fig04_cell_curves)
+def test_fig04_cell_curves(reproduce):
+    curve = reproduce("fig04")
     mpp = find_mpp(PVCell(bp3180n().cell), 1000.0, 25.0)
-
-    lines = [
-        f"I-V  |{sparkline(curve.current)}|",
-        f"P-V  |{sparkline(curve.power)}|",
-        format_table(
-            ["landmark", "value"],
-            [
-                ["Isc", f"{curve.isc:.3f} A"],
-                ["Voc", f"{curve.voc:.3f} V"],
-                ["Vmpp", f"{mpp.voltage:.3f} V"],
-                ["Impp", f"{mpp.current:.3f} A"],
-                ["Pmax", f"{mpp.power:.3f} W"],
-            ],
-        ),
-    ]
-    emit(out_dir, "fig04_cell_curves", "\n".join(lines))
 
     assert 0.0 < mpp.voltage < curve.voc
     assert mpp.power > 0.8 * curve.voc * curve.isc * 0.7  # sane fill factor

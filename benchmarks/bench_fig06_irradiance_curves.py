@@ -1,23 +1,8 @@
 """Figure 6: BP3180N module I-V/P-V curves across irradiance (T = 25 C)."""
 
-from conftest import emit
 
-from repro.harness.experiments import fig06_module_irradiance_curves
-from repro.harness.reporting import format_table
-
-
-def test_fig06_irradiance_curves(benchmark, out_dir):
-    curves = benchmark(fig06_module_irradiance_curves)
-
-    rows = []
-    for g in sorted(curves):
-        v, i, p = curves[g].approximate_mpp
-        rows.append(
-            [f"{g:.0f}", f"{curves[g].isc:.2f}", f"{curves[g].voc:.2f}",
-             f"{v:.2f}", f"{p:.1f}"]
-        )
-    table = format_table(["G W/m^2", "Isc A", "Voc V", "Vmpp V", "Pmax W"], rows)
-    emit(out_dir, "fig06_irradiance_curves", table)
+def test_fig06_irradiance_curves(reproduce):
+    curves = reproduce("fig06")
 
     # Paper: higher irradiance -> more photocurrent, MPPs move upward.
     gs = sorted(curves)

@@ -1,23 +1,8 @@
 """Figure 7: BP3180N module I-V/P-V curves across temperature (G = 1000)."""
 
-from conftest import emit
 
-from repro.harness.experiments import fig07_module_temperature_curves
-from repro.harness.reporting import format_table
-
-
-def test_fig07_temperature_curves(benchmark, out_dir):
-    curves = benchmark(fig07_module_temperature_curves)
-
-    rows = []
-    for t in sorted(curves):
-        v, i, p = curves[t].approximate_mpp
-        rows.append(
-            [f"{t:.0f}", f"{curves[t].isc:.2f}", f"{curves[t].voc:.2f}",
-             f"{v:.2f}", f"{p:.1f}"]
-        )
-    table = format_table(["T C", "Isc A", "Voc V", "Vmpp V", "Pmax W"], rows)
-    emit(out_dir, "fig07_temperature_curves", table)
+def test_fig07_temperature_curves(reproduce):
+    curves = reproduce("fig07")
 
     # Paper: hotter -> Voc falls faster than Isc rises; MPP shifts left and
     # total power drops.

@@ -1,23 +1,9 @@
 """Figure 13: MPP tracking accuracy under a regular weather pattern
 (January at Phoenix, AZ) for H1, HM2, and L1."""
 
-from conftest import emit
 
-from repro.harness.experiments import fig13_14_tracking
-from repro.harness.reporting import format_table, sparkline
-
-
-def test_fig13_tracking_jan_az(benchmark, runner, out_dir):
-    traces = benchmark(fig13_14_tracking, 1, ("H1", "HM2", "L1"), "AZ", runner)
-
-    lines = []
-    rows = []
-    for name, trace in traces.items():
-        lines.append(f"{name:4s} budget |{sparkline(trace.budget_w)}|")
-        lines.append(f"{name:4s} actual |{sparkline(trace.actual_w)}|")
-        rows.append([name, f"{trace.mean_error:.1%}"])
-    lines.append(format_table(["mix", "mean tracking error"], rows))
-    emit(out_dir, "fig13_tracking_jan_az", "\n".join(lines))
+def test_fig13_tracking_jan_az(reproduce):
+    traces = reproduce("fig13")
 
     # Paper: consumption closely follows the budget; H1's ripples make it
     # worse than L1.

@@ -1,23 +1,9 @@
 """Figure 14: MPP tracking accuracy under an irregular weather pattern
 (July at Phoenix, AZ — monsoon clouds) for H1, HM2, and L1."""
 
-from conftest import emit
 
-from repro.harness.experiments import fig13_14_tracking
-from repro.harness.reporting import format_table, sparkline
-
-
-def test_fig14_tracking_jul_az(benchmark, runner, out_dir):
-    traces = benchmark(fig13_14_tracking, 7, ("H1", "HM2", "L1"), "AZ", runner)
-
-    lines = []
-    rows = []
-    for name, trace in traces.items():
-        lines.append(f"{name:4s} budget |{sparkline(trace.budget_w)}|")
-        lines.append(f"{name:4s} actual |{sparkline(trace.actual_w)}|")
-        rows.append([name, f"{trace.mean_error:.1%}"])
-    lines.append(format_table(["mix", "mean tracking error"], rows))
-    emit(out_dir, "fig14_tracking_jul_az", "\n".join(lines))
+def test_fig14_tracking_jul_az(reproduce):
+    traces = reproduce("fig14")
 
     assert traces["H1"].mean_error < 0.3
     assert traces["L1"].mean_error <= traces["H1"].mean_error

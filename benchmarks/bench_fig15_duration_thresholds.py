@@ -4,23 +4,9 @@ The paper groups the 16 (station, month) curves into slow, linear, and rapid
 decline patterns; the curves here exhibit the same spectrum.
 """
 
-import numpy as np
-from conftest import emit
 
-from repro.harness.experiments import fig15_duration_vs_threshold
-from repro.harness.reporting import format_series
-
-
-def test_fig15_duration_thresholds(benchmark, runner, out_dir):
-    curves = benchmark.pedantic(
-        fig15_duration_vs_threshold, kwargs={"runner": runner}, rounds=1, iterations=1
-    )
-
-    lines = [
-        format_series(f"{site}-{month}", pts, y_fmt="{:.2f}")
-        for (site, month), pts in sorted(curves.items())
-    ]
-    emit(out_dir, "fig15_duration_thresholds", "\n".join(lines))
+def test_fig15_duration_thresholds(reproduce):
+    curves = reproduce("fig15")
 
     for pts in curves.values():
         durations = [d for _, d in pts]

@@ -1,25 +1,14 @@
 """Figure 16: solar energy drawn under fixed budgets, normalized to
 SolarCore — no fixed budget reaches much beyond ~0.7."""
 
-import numpy as np
-from conftest import emit
 
-from repro.harness.experiments import fig16_energy_vs_threshold
-from repro.harness.reporting import format_series
+def test_fig16_fixed_energy(reproduce):
+    data = reproduce("fig16")
 
-
-def test_fig16_fixed_energy(benchmark, runner, out_dir):
-    data = benchmark.pedantic(
-        fig16_energy_vs_threshold, kwargs={"runner": runner}, rounds=1, iterations=1
-    )
-
-    lines = []
     best = 0.0
-    for site, per_month in sorted(data.items()):
-        for month, pts in sorted(per_month.items()):
-            lines.append(format_series(f"{site}-{month}", pts))
+    for per_month in data.values():
+        for pts in per_month.values():
             best = max(best, max(v for _, v in pts))
-    emit(out_dir, "fig16_fixed_energy", "\n".join(lines))
 
     # Paper Section 6.2: best fixed-budget energy utilization is < ~70% of
     # SolarCore's.

@@ -5,29 +5,18 @@ PTP, i.e. SolarCore wins by at least 43% — and no single optimal fixed
 budget exists across sites and seasons.
 """
 
-import numpy as np
-from conftest import emit
 
-from repro.harness.experiments import fig17_ptp_vs_threshold
-from repro.harness.reporting import format_series
+def test_fig17_fixed_ptp(reproduce):
+    data = reproduce("fig17")
 
-
-def test_fig17_fixed_ptp(benchmark, runner, out_dir):
-    data = benchmark.pedantic(
-        fig17_ptp_vs_threshold, kwargs={"runner": runner}, rounds=1, iterations=1
-    )
-
-    lines = []
     best_overall = 0.0
     best_budgets = set()
-    for site, per_month in sorted(data.items()):
-        for month, pts in sorted(per_month.items()):
-            lines.append(format_series(f"{site}-{month}", pts))
+    for per_month in data.values():
+        for pts in per_month.values():
             best_budget, best_value = max(pts, key=lambda bv: bv[1])
             best_overall = max(best_overall, best_value)
             if best_value > 0:
                 best_budgets.add(best_budget)
-    emit(out_dir, "fig17_fixed_ptp", "\n".join(lines))
 
     # SolarCore >= +43% over the best fixed budget (best fixed <= ~0.7).
     assert best_overall < 0.80

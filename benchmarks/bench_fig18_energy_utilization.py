@@ -2,19 +2,10 @@
 policy, against the battery-system bounds."""
 
 import numpy as np
-from conftest import emit
-
-from repro.harness.experiments import BATTERY_BOUNDS, POLICIES, fig18_energy_utilization
-from repro.harness.reporting import render_fig18
-from repro.metrics.ptp import geometric_mean
 
 
-def test_fig18_energy_utilization(benchmark, runner, out_dir):
-    data = benchmark.pedantic(
-        fig18_energy_utilization, kwargs={"runner": runner}, rounds=1, iterations=1
-    )
-
-    emit(out_dir, "fig18_energy_utilization", render_fig18(data, BATTERY_BOUNDS))
+def test_fig18_energy_utilization(reproduce):
+    data = reproduce("fig18")
 
     # Headline: overall average utilization around the paper's 82%.
     all_opt = [

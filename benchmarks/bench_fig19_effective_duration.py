@@ -2,26 +2,10 @@
 per station and month."""
 
 import numpy as np
-from conftest import emit
-
-from repro.harness.experiments import fig19_effective_duration
-from repro.harness.reporting import format_table
 
 
-def test_fig19_effective_duration(benchmark, runner, out_dir):
-    durations = benchmark.pedantic(
-        fig19_effective_duration, kwargs={"runner": runner}, rounds=1, iterations=1
-    )
-
-    rows = [
-        [site, str(month), f"{frac:.1%}", f"{1.0 - frac:.1%}"]
-        for (site, month), frac in sorted(durations.items())
-    ]
-    emit(
-        out_dir,
-        "fig19_effective_duration",
-        format_table(["site", "month", "solar", "utility"], rows),
-    )
+def test_fig19_effective_duration(reproduce):
+    durations = reproduce("fig19")
 
     per_site = {
         site: float(np.mean([durations[(site, m)] for m in (1, 4, 7, 10)]))

@@ -4,31 +4,9 @@ much of the day."""
 
 import math
 
-import numpy as np
-from conftest import emit
 
-from repro.harness.experiments import POLICIES, fig20_utilization_vs_duration
-from repro.harness.reporting import format_table
-
-
-def test_fig20_utilization_vs_duration(benchmark, runner, out_dir):
-    data = benchmark.pedantic(
-        fig20_utilization_vs_duration, kwargs={"runner": runner}, rounds=1, iterations=1
-    )
-
-    rows = []
-    for (low, high), per_policy in data.items():
-        cells = [f"{low:.0%}-{min(high, 1.0):.0%}"]
-        cells.extend(
-            "-" if math.isnan(per_policy[p]) else f"{per_policy[p]:.1%}"
-            for p in POLICIES
-        )
-        rows.append(cells)
-    emit(
-        out_dir,
-        "fig20_utilization_vs_duration",
-        format_table(["duration"] + list(POLICIES), rows),
-    )
+def test_fig20_utilization_vs_duration(reproduce):
+    data = reproduce("fig20")
 
     # Utilization decreases as the effective duration bucket drops.
     opt_by_bucket = [

@@ -8,18 +8,10 @@ system without its cost/lifetime drawbacks.
 """
 
 import numpy as np
-from conftest import emit
-
-from repro.harness.experiments import fig21_normalized_ptp
-from repro.harness.reporting import render_fig21_summary
 
 
-def test_fig21_ptp_policies(benchmark, runner, out_dir):
-    data = benchmark.pedantic(
-        fig21_normalized_ptp, kwargs={"runner": runner}, rounds=1, iterations=1
-    )
-
-    emit(out_dir, "fig21_ptp_policies", render_fig21_summary(data))
+def test_fig21_ptp_policies(reproduce):
+    data = reproduce("fig21")
 
     means = {
         policy: float(np.mean([row[policy] for row in data.values()]))

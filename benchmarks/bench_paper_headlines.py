@@ -3,17 +3,9 @@
 If any row of this card goes red, the reproduction has drifted.
 """
 
-from conftest import emit
 
-from repro.harness.paper_summary import render_headlines, reproduce_headlines
-
-
-def test_paper_headlines(benchmark, runner, out_dir):
-    claims = benchmark.pedantic(
-        reproduce_headlines, args=(runner,), rounds=1, iterations=1
-    )
-
-    emit(out_dir, "paper_headlines", render_headlines(claims))
+def test_paper_headlines(reproduce):
+    claims = reproduce("headlines")
 
     failing = [c.claim for c in claims if not c.holds]
     assert not failing, failing

@@ -2,18 +2,10 @@
 (4 stations x 4 months x 10 workload mixes)."""
 
 import numpy as np
-from conftest import emit
-
-from repro.harness.experiments import table7_tracking_error
-from repro.harness.reporting import render_table7
 
 
-def test_table7_tracking_error(benchmark, runner, out_dir):
-    table = benchmark.pedantic(
-        table7_tracking_error, args=(runner,), rounds=1, iterations=1
-    )
-
-    emit(out_dir, "table7_tracking_error", render_table7(table))
+def test_table7_tracking_error(reproduce):
+    table = reproduce("table7")
 
     errors = np.array([e for row in table.values() for e in row.values()])
     # Paper Table 7 spans ~4-22%; same band here.

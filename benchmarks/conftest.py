@@ -4,10 +4,13 @@ Every benchmark regenerates one table or figure of the paper at full
 resolution (1-minute steps, the complete evaluation grid unless noted).
 Results are cached in a session-wide runner — the grid is simulated once
 and sliced by every figure — and each bench writes the rows/series it
-reproduces to ``benchmarks/out/``.
+reproduces to ``benchmarks/out/``.  A paper artifact's bench goes through
+the :func:`reproduce` fixture, the same table entry
+(:data:`repro.harness.artifacts.ARTIFACTS`) ``repro experiment`` uses.
 
 The session runner also rides the parallel sweep engine: set
-``SOLARCORE_JOBS=N`` to fan simulations out over N worker processes, and
+``SOLARCORE_JOBS=N`` to fan each artifact's prefetch out over N worker
+processes, and
 ``SOLARCORE_CACHE_DIR=DIR`` to move the persistent result cache (default:
 ``benchmarks/out/cache/``, content-addressed and invalidated whenever the
 ``repro`` source changes, so re-running the suite only pays for
@@ -21,6 +24,7 @@ import pathlib
 
 import pytest
 
+from repro.harness.artifacts import ARTIFACTS
 from repro.harness.runner import SimulationRunner
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -54,3 +58,29 @@ def emit(out_dir: pathlib.Path, name: str, text: str) -> None:
     """Print a reproduced artifact and persist it under benchmarks/out/."""
     print(f"\n===== {name} =====\n{text}")
     (out_dir / f"{name}.txt").write_text(text + "\n")
+
+
+@pytest.fixture
+def reproduce(benchmark, runner, out_dir, request):
+    """``reproduce(name)`` runs one paper artifact on the session runner.
+
+    It prefetches the artifact's tasks, times its build (auto-calibrated
+    rounds for a device figure, one round over the prefetched days for
+    the rest), emits its rendering as ``benchmarks/out/<bench file name
+    without bench_>.txt`` and returns the data for the bench's asserts.
+    """
+
+    def run(name: str):
+        artifact = ARTIFACTS[name]
+        runner.prefetch(artifact.tasks)
+        if artifact.tasks:
+            data = benchmark.pedantic(
+                artifact.build, args=(runner,), rounds=1, iterations=1
+            )
+        else:
+            data = benchmark(artifact.build, runner)
+        emit(out_dir, request.path.stem.removeprefix("bench_"),
+             artifact.render(data))
+        return data
+
+    return run

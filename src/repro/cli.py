@@ -8,7 +8,7 @@ Commands:
     simulate    run one day under a policy (or fixed budget / battery)
     rack        simulate a rack of chips on a shared solar farm
     campaign    multi-realization campaign with carbon accounting
-    experiment  regenerate one of the paper's figures/tables
+    experiment  regenerate a paper figure, table or the claims card (or all)
     profile     run day simulations with the hot-path profiler armed
     runs        list/show/diff recorded run manifests
     serve       long-running job server with live telemetry streaming
@@ -31,9 +31,11 @@ timings.  Example::
 flags: ``--jobs N`` fans the day-simulation grid out across N worker
 processes, and ``--cache-dir DIR`` persists every result to a
 content-addressed disk cache (reused across runs, invalidated whenever
-the ``repro`` source changes)::
+the ``repro`` source changes).  ``experiment`` prefetches the days its
+artifact reads (``all``: the union for every artifact, once)::
 
     repro experiment fig18 --jobs 4 --cache-dir ~/.cache/solarcore
+    repro experiment all --solver table --jobs 2
 
 Resilience flags (same commands): ``--retries N`` re-runs failed sweep
 tasks with exponential backoff and ``--task-timeout S`` bounds each task
@@ -234,27 +236,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _sweep_runner(args: argparse.Namespace):
-    """The parallel/caching/resilient runner the sweep flags ask for, or None.
-
-    A non-default ``--solver`` or ``--chip`` also forces a runner: the
-    experiment functions fall back to the module-level default runner
-    otherwise, which is pinned to the exact-solver default-chip config.
-    """
-    config = _solver_config(args)
-    wants_runner = (
-        args.jobs > 1
-        or args.cache_dir is not None
-        or args.retries > 0
-        or args.task_timeout is not None
-        or config.solver != "exact"
-        or config.chip_spec != "alpha8"
-    )
-    if not wants_runner:
-        return None
+    """The :class:`SimulationRunner` the solver, chip and sweep flags ask for."""
     from repro.harness.runner import SimulationRunner
 
     return SimulationRunner(
-        config,
+        _solver_config(args),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         retries=args.retries,
@@ -271,7 +257,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     campaign = run_campaign(
         args.mix, locations, tuple(args.months),
         days_per_cell=args.days, policy=args.policy,
-        config=_solver_config(args),
         runner=_sweep_runner(args),
         faults=args.faults,
     )
@@ -362,59 +347,22 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-_EXPERIMENTS = {
-    "fig01": "fig01",
-    "table7": "table7",
-    "fig18": "fig18",
-    "fig19": "fig19",
-    "fig21": "fig21",
-}
-
-
-#: Per-experiment grid subsets the parallel engine prefetches
-#: (keyword overrides for ``experiments.standard_grid_tasks``).
-_EXPERIMENT_GRIDS = {
-    "table7": dict(policies=("MPPT&Opt",), budgets_w=(), deratings=()),
-    "fig18": dict(budgets_w=(), deratings=()),
-    "fig19": dict(mixes=("HM2",), policies=("MPPT&Opt",), budgets_w=(),
-                  deratings=()),
-    "fig21": dict(budgets_w=()),
-}
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.harness import experiments, reporting
+    from repro.harness.artifacts import ARTIFACTS
 
     name = args.name.lower()
-    runner = _sweep_runner(args)
-    if runner is not None and name in _EXPERIMENT_GRIDS:
-        experiments.prefetch_standard_grid(runner, **_EXPERIMENT_GRIDS[name])
-    if name == "fig01":
-        rows = experiments.fig01_fixed_load_utilization()
-        print(reporting.format_table(
-            ["irradiance", "utilization"],
-            [[f"{g:.0f}", f"{u:.1%}"] for g, u in rows],
-        ))
-    elif name == "table7":
-        table = experiments.table7_tracking_error(runner=runner)
-        print(reporting.render_table7(table))
-    elif name == "fig18":
-        data = experiments.fig18_energy_utilization(runner=runner)
-        print(reporting.render_fig18(data, experiments.BATTERY_BOUNDS))
-    elif name == "fig19":
-        durations = experiments.fig19_effective_duration(runner=runner)
-        rows = [
-            [site, str(month), f"{frac:.1%}"]
-            for (site, month), frac in sorted(durations.items())
-        ]
-        print(reporting.format_table(["site", "month", "solar duration"], rows))
-    elif name == "fig21":
-        data = experiments.fig21_normalized_ptp(runner=runner)
-        print(reporting.render_fig21_summary(data))
-    else:
+    if name != "all" and name not in ARTIFACTS:
         print(f"unknown experiment {args.name!r}; "
-              f"known: {', '.join(sorted(_EXPERIMENTS))}", file=sys.stderr)
+              f"known: {', '.join(ARTIFACTS)}, all", file=sys.stderr)
         return 2
+    names = list(ARTIFACTS) if name == "all" else [name]
+    runner = _sweep_runner(args)
+    runner.prefetch(task for each in names for task in ARTIFACTS[each].tasks)
+    for each in names:
+        artifact = ARTIFACTS[each]
+        if name == "all":
+            print(f"===== {each} =====")
+        print(artifact.render(artifact.build(runner)))
     return 0
 
 
@@ -569,7 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", help="regenerate a paper artifact",
                                 parents=[common, sweep, solver, chip])
-    experiment.add_argument("name", help=f"one of: {', '.join(sorted(_EXPERIMENTS))}")
+    experiment.add_argument("name", help="a paper artifact such as fig18, table7 "
+                            "or headlines (an unknown name lists them all), "
+                            "or all for every artifact")
 
     profile = sub.add_parser(
         "profile", help="profile day simulations (phase wall-time + solver work)",

@@ -1,23 +1,13 @@
-"""One function per paper table/figure: the reproduction experiment index.
+"""One function per paper table/figure: the data behind each artifact.
 
 Every public function regenerates the data behind one artifact of the
 paper's evaluation (Section 6) — same axes, same workloads, same sweep
 ranges — returning plain data structures that
 :mod:`repro.harness.reporting` renders as the rows/series the paper prints.
-
-    fig01_fixed_load_utilization   Figure 1
-    fig04_cell_curves              Figure 4
-    fig06_module_irradiance_curves Figure 6
-    fig07_module_temperature_curves Figure 7
-    fig13_14_tracking              Figures 13 & 14
-    table7_tracking_error          Table 7
-    fig15_duration_vs_threshold    Figure 15
-    fig16_energy_vs_threshold      Figure 16
-    fig17_ptp_vs_threshold         Figure 17
-    fig18_energy_utilization       Figure 18
-    fig19_effective_duration       Figure 19
-    fig20_utilization_vs_duration  Figure 20
-    fig21_normalized_ptp           Figure 21
+Every function that simulates days takes the
+:class:`~repro.harness.runner.SimulationRunner` that runs and caches them.
+The index is :data:`repro.harness.artifacts.ARTIFACTS`: each artifact's
+name, the tasks its function reads, and its rendering.
 """
 
 from __future__ import annotations
@@ -29,7 +19,7 @@ from scipy.optimize import brentq
 
 from repro.environment.locations import ALL_LOCATIONS, EVALUATED_MONTHS
 from repro.harness.parallel import SweepTask, grid_tasks
-from repro.harness.runner import SimulationRunner, default_runner
+from repro.harness.runner import SimulationRunner
 from repro.metrics.ptp import normalized_ptp
 from repro.metrics.utilization import DURATION_BUCKETS, bucket_by_duration
 from repro.pv.array import PVArray
@@ -59,7 +49,6 @@ __all__ = [
     "POLICIES",
     "DEFAULT_BUDGETS_W",
     "standard_grid_tasks",
-    "prefetch_standard_grid",
 ]
 
 #: The three MPPT load-adaptation policies, in Table 6 order.
@@ -99,24 +88,6 @@ def standard_grid_tasks(
         mixes, locations, months,
         policies=policies, budgets_w=budgets_w, deratings=deratings,
     )
-
-
-def prefetch_standard_grid(
-    runner: SimulationRunner | None = None, **grid_kwargs
-) -> SimulationRunner:
-    """Materialize (a subset of) the evaluation grid into ``runner``.
-
-    With ``runner.jobs > 1`` the missing cells fan out across worker
-    processes; afterwards every experiment function below is a pure
-    cache read.  Keyword arguments narrow the grid as in
-    :func:`standard_grid_tasks`.
-
-    Returns:
-        The (possibly default) runner, now holding the grid.
-    """
-    runner = runner or default_runner
-    runner.prefetch(standard_grid_tasks(**grid_kwargs))
-    return runner
 
 
 # ----------------------------------------------------------------------
@@ -229,15 +200,15 @@ class TrackingTrace:
 
 def fig13_14_tracking(
     month: int,
+    runner: SimulationRunner,
     mixes: tuple[str, ...] = ("H1", "HM2", "L1"),
     location: str = "AZ",
-    runner: SimulationRunner | None = None,
 ) -> dict[str, TrackingTrace]:
     """MPP tracking traces at AZ (Figure 13: Jan; Figure 14: Jul).
 
+    The month leads because it picks the figure; ``runner`` follows.
     Returns one :class:`TrackingTrace` per requested mix.
     """
-    runner = runner or default_runner
     traces = {}
     for mix_name in mixes:
         day = runner.day(mix_name, location, month, "MPPT&Opt")
@@ -254,7 +225,7 @@ def fig13_14_tracking(
 # Table 7 — tracking error across the full grid
 # ----------------------------------------------------------------------
 def table7_tracking_error(
-    runner: SimulationRunner | None = None,
+    runner: SimulationRunner,
     mixes: tuple[str, ...] = ALL_MIX_NAMES,
     months: tuple[int, ...] = EVALUATED_MONTHS,
 ) -> dict[tuple[str, int], dict[str, float]]:
@@ -263,7 +234,6 @@ def table7_tracking_error(
     Returns:
         ``{(location_code, month): {mix_name: error}}``.
     """
-    runner = runner or default_runner
     table: dict[tuple[str, int], dict[str, float]] = {}
     for location in ALL_LOCATIONS:
         for month in months:
@@ -279,9 +249,9 @@ def table7_tracking_error(
 # Figures 15-17 — the Fixed-Power sweeps
 # ----------------------------------------------------------------------
 def fig15_duration_vs_threshold(
+    runner: SimulationRunner,
     budgets_w: tuple[float, ...] = DEFAULT_BUDGETS_W,
     mix_name: str = "HM2",
-    runner: SimulationRunner | None = None,
     locations=ALL_LOCATIONS,
     months: tuple[int, ...] = EVALUATED_MONTHS,
 ) -> dict[tuple[str, int], list[tuple[float, float]]]:
@@ -291,7 +261,6 @@ def fig15_duration_vs_threshold(
         ``{(location, month): [(budget, duration_fraction), ...]}`` — the
         per-case decline curves the paper groups into slow/linear/rapid.
     """
-    runner = runner or default_runner
     curves: dict[tuple[str, int], list[tuple[float, float]]] = {}
     for location in locations:
         for month in months:
@@ -336,28 +305,28 @@ def _fixed_vs_solarcore(
 
 
 def fig16_energy_vs_threshold(
+    runner: SimulationRunner,
     budgets_w: tuple[float, ...] = DEFAULT_BUDGETS_W,
     mixes: tuple[str, ...] = ("H1", "L1", "HM2", "ML2"),
-    runner: SimulationRunner | None = None,
     locations=ALL_LOCATIONS,
     months: tuple[int, ...] = EVALUATED_MONTHS,
 ) -> dict[str, dict[int, list[tuple[float, float]]]]:
     """Fixed-Power solar energy drawn, normalized to SolarCore (Figure 16)."""
     return _fixed_vs_solarcore(
-        "energy", budgets_w, mixes, runner or default_runner, locations, months
+        "energy", budgets_w, mixes, runner, locations, months
     )
 
 
 def fig17_ptp_vs_threshold(
+    runner: SimulationRunner,
     budgets_w: tuple[float, ...] = DEFAULT_BUDGETS_W,
     mixes: tuple[str, ...] = ("H1", "L1", "HM2", "ML2"),
-    runner: SimulationRunner | None = None,
     locations=ALL_LOCATIONS,
     months: tuple[int, ...] = EVALUATED_MONTHS,
 ) -> dict[str, dict[int, list[tuple[float, float]]]]:
     """Fixed-Power PTP, normalized to SolarCore (Figure 17)."""
     return _fixed_vs_solarcore(
-        "ptp", budgets_w, mixes, runner or default_runner, locations, months
+        "ptp", budgets_w, mixes, runner, locations, months
     )
 
 
@@ -365,7 +334,7 @@ def fig17_ptp_vs_threshold(
 # Figures 18-20 — utilization and duration
 # ----------------------------------------------------------------------
 def fig18_energy_utilization(
-    runner: SimulationRunner | None = None,
+    runner: SimulationRunner,
     mixes: tuple[str, ...] = ALL_MIX_NAMES,
     months: tuple[int, ...] = EVALUATED_MONTHS,
     locations=ALL_LOCATIONS,
@@ -376,7 +345,6 @@ def fig18_energy_utilization(
         ``{location: {mix: {policy: utilization}}}`` — compare against the
         battery bounds in :data:`BATTERY_BOUNDS`.
     """
-    runner = runner or default_runner
     out: dict[str, dict[str, dict[str, float]]] = {}
     for location in locations:
         per_mix: dict[str, dict[str, float]] = {}
@@ -396,11 +364,10 @@ def fig18_energy_utilization(
 
 
 def fig19_effective_duration(
-    runner: SimulationRunner | None = None,
+    runner: SimulationRunner,
     mix_name: str = "HM2",
 ) -> dict[tuple[str, int], float]:
     """Effective operation duration per (location, month) (Figure 19)."""
-    runner = runner or default_runner
     return {
         (location.code, month): runner.day(
             mix_name, location.code, month, "MPPT&Opt"
@@ -411,13 +378,12 @@ def fig19_effective_duration(
 
 
 def fig20_utilization_vs_duration(
-    runner: SimulationRunner | None = None,
+    runner: SimulationRunner,
     mixes: tuple[str, ...] = ALL_MIX_NAMES,
     months: tuple[int, ...] = EVALUATED_MONTHS,
     locations=ALL_LOCATIONS,
 ) -> dict[tuple[float, float], dict[str, float]]:
     """Mean utilization per effective-duration bucket x policy (Figure 20)."""
-    runner = runner or default_runner
     days: dict[str, list] = {policy: [] for policy in POLICIES}
     for location in locations:
         for month in months:
@@ -441,7 +407,7 @@ def fig20_utilization_vs_duration(
 # Figure 21 — the headline performance comparison
 # ----------------------------------------------------------------------
 def fig21_normalized_ptp(
-    runner: SimulationRunner | None = None,
+    runner: SimulationRunner,
     mixes: tuple[str, ...] = ALL_MIX_NAMES,
     months: tuple[int, ...] = EVALUATED_MONTHS,
     locations=ALL_LOCATIONS,
@@ -451,7 +417,6 @@ def fig21_normalized_ptp(
     Returns:
         ``{(location, month, mix): {policy_or_battery: normalized PTP}}``.
     """
-    runner = runner or default_runner
     out: dict[tuple[str, int, str], dict[str, float]] = {}
     for location in locations:
         for month in months:

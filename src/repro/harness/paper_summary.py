@@ -15,7 +15,7 @@ import numpy as np
 from repro.environment.locations import ALL_LOCATIONS
 from repro.harness.experiments import fig01_fixed_load_utilization
 from repro.harness.reporting import format_table
-from repro.harness.runner import SimulationRunner, default_runner
+from repro.harness.runner import SimulationRunner
 
 __all__ = ["HeadlineClaim", "reproduce_headlines", "render_headlines"]
 
@@ -38,21 +38,20 @@ class HeadlineClaim:
 
 
 def reproduce_headlines(
-    runner: SimulationRunner | None = None,
+    runner: SimulationRunner,
     mixes: tuple[str, ...] = ("H1", "L1", "HM2", "ML2"),
     months: tuple[int, ...] = (1, 7),
 ) -> list[HeadlineClaim]:
     """Measure every headline claim on a representative grid slice.
 
     Args:
-        runner: Simulation cache (full resolution by default).
+        runner: Runs and caches the day simulations.
         mixes: Workload subset (the full ten make the same point slower).
         months: Month subset.
 
     Returns:
         One :class:`HeadlineClaim` per claim, in the paper's order.
     """
-    runner = runner or default_runner
     claims: list[HeadlineClaim] = []
 
     # -- Figure 1: >50% energy loss for a fixed load at 400 W/m^2.

@@ -36,7 +36,7 @@ from repro.harness.parallel import (
 )
 from repro.telemetry import hub as telemetry_hub
 
-__all__ = ["SimulationRunner", "default_runner"]
+__all__ = ["SimulationRunner"]
 
 log = logging.getLogger(__name__)
 
@@ -326,7 +326,3 @@ class SimulationRunner:
             stats["disk_misses"] = self.disk.misses
             stats["lease_follows"] = self.lease_follows
         return stats
-
-
-#: Process-wide runner shared by the benchmark suite.
-default_runner = SimulationRunner()

@@ -261,7 +261,6 @@ class SolarCoreService:
             max_workers=max_workers, thread_name_prefix="solarcore-compute"
         )
         self._job_tasks: dict[str, asyncio.Task] = {}
-        self._job_done: dict[str, asyncio.Event] = {}
         self._job_started_s: dict[str, float] = {}
         self._durations_s: deque[float] = deque(maxlen=32)
         self._job_streams: set[ClientStream] = set()
@@ -481,7 +480,6 @@ class SolarCoreService:
 
     def _launch(self, job: Job) -> None:
         """Start (or, after recovery, restart) a queued job's task."""
-        self._job_done[job.job_id] = asyncio.Event()
         self._job_started_s[job.job_id] = time.perf_counter()
         self._job_tasks[job.job_id] = asyncio.get_running_loop().create_task(
             self._run_job(job)
@@ -498,11 +496,17 @@ class SolarCoreService:
         return cancelled
 
     async def wait_terminal(self, job_id: str) -> Job:
-        """Block until the job reaches a terminal state."""
+        """Block until the job's task has finished (at once if it has none).
+
+        The task ends after :meth:`_finish_job`, so the job is terminal
+        and, with a ledger, its manifest is written.  ``asyncio.wait``
+        never raises the task's outcome, a cancelled job's
+        ``CancelledError`` included.
+        """
         job = self.table.get(job_id)
-        event = self._job_done.get(job_id)
-        if event is not None:
-            await event.wait()
+        task = self._job_tasks.get(job_id)
+        if task is not None:
+            await asyncio.wait({task})
         return job
 
     async def _run_job(self, job: Job) -> None:
@@ -645,16 +649,11 @@ class SolarCoreService:
         return self.drain_report
 
     def _finish_job(self, job: Job) -> None:
-        """Terminal bookkeeping: wake waiters, record the ledger manifest."""
+        """Terminal bookkeeping: forget the task, record the ledger manifest."""
         self._job_tasks.pop(job.job_id, None)
         started = self._job_started_s.pop(job.job_id, None)
         if started is not None:
             self._durations_s.append(time.perf_counter() - started)
-        # Waiters already hold the event; wait_terminal on a job without
-        # one returns at once.
-        event = self._job_done.pop(job.job_id, None)
-        if event is not None:
-            event.set()
         if self.ledger is None:
             return
         try:

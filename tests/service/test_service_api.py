@@ -7,8 +7,8 @@ import asyncio
 import pytest
 
 from repro.core.config import SolarCoreConfig
-from repro.service.client import ServiceError
-from repro.service.jobs import DONE, FAILED
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobs import CANCELLED, DONE, FAILED
 from tests.service.conftest import run_async
 
 SPEC = {"mix": "HM2", "site": "AZ", "month": 7}
@@ -45,6 +45,30 @@ def test_submit_without_wait_returns_202_immediately(
             gated_compute.release()
             final = await h.client.wait_terminal(doc["job_id"])
             assert final["state"] == DONE
+
+    run_async(main())
+
+
+def test_wait_submit_answers_when_another_client_cancels_its_job(
+    harness_factory, gated_compute
+):
+    """A ``?wait=1`` submit whose job is cancelled mid-compute answers 200
+    with the cancelled state, not an error."""
+
+    async def main():
+        async with harness_factory() as h:
+            waiting = asyncio.ensure_future(
+                h.client.submit(dict(SPEC), wait=True)
+            )
+            while not gated_compute.started.is_set():
+                await asyncio.sleep(0.01)
+            other = ServiceClient(h.service.host, h.service.port)
+            (listed,) = await other.jobs()
+            await other.cancel(listed["job_id"])
+            gated_compute.release()
+            doc = await waiting
+            assert doc["job_id"] == listed["job_id"]
+            assert doc["state"] == CANCELLED
 
     run_async(main())
 
@@ -233,8 +257,8 @@ def test_snapshot_says_which_day_path_ran():
 def test_terminal_jobs_leave_only_their_table_entries(
     harness_factory, gated_compute
 ):
-    """A finished job keeps its JobTable entry and nothing else: no done
-    event, and no subscriber list once its last subscription closes."""
+    """A finished job keeps its JobTable entry and nothing else: no task,
+    and no subscriber list once its last subscription closes."""
 
     async def main():
         gated_compute.release()
@@ -249,7 +273,7 @@ def test_terminal_jobs_leave_only_their_table_entries(
             assert states[-1] == DONE
             await ws.close()
 
-            assert h.service._job_done == {}
+            assert h.service._job_tasks == {}
             # The server unsubscribes after it sends the close frame.
             for _ in range(500):
                 if not h.service.table._subs:

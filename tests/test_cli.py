@@ -48,6 +48,43 @@ class TestCommands:
         assert main(["experiment", "fig01"]) == 0
         assert "irradiance" in capsys.readouterr().out
 
+    def test_experiment_unknown_names_every_artifact(self, capsys):
+        assert main(["experiment", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "headlines" in err and "table7" in err and "all" in err
+
+    def test_experiment_prints_the_bench_rendering(self, capsys):
+        assert main(["experiment", "fig19", "--solver", "table",
+                     "--jobs", "2"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split() == ["site", "month", "solar", "utility"]
+
+    def test_experiment_all_prefetches_once_then_prints_in_table_order(
+        self, capsys, monkeypatch
+    ):
+        from repro.harness.artifacts import Artifact
+        from repro.harness.parallel import SweepTask
+        from repro.harness.runner import SimulationRunner
+
+        first = SweepTask("mppt", "L1", "AZ", 7, policy="MPPT&Opt")
+        second = SweepTask("fixed", "H1", "TN", 1, budget_w=75.0)
+        monkeypatch.setattr("repro.harness.artifacts.ARTIFACTS", {
+            "zeta": Artifact((first,), lambda runner: 1, "zeta data {}".format),
+            "alpha": Artifact((second, first), lambda runner: 2,
+                              "alpha data {}".format),
+        })
+        prefetched = []
+        monkeypatch.setattr(
+            SimulationRunner, "prefetch",
+            lambda self, tasks: prefetched.append(list(tasks)),
+        )
+        assert main(["experiment", "all"]) == 0
+        assert prefetched == [[first, second, first]]
+        assert capsys.readouterr().out.splitlines() == [
+            "===== zeta =====", "zeta data 1",
+            "===== alpha =====", "alpha data 2",
+        ]
+
     def test_panel_shading(self, capsys):
         assert main(["panel", "--shading", "1.0,0.4"]) == 0
         out = capsys.readouterr().out
