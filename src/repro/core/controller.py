@@ -24,8 +24,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
+from repro.brent import brentq
 from repro.core.config import SolarCoreConfig
 from repro.core.load_tuning import LoadTuner
 from repro.multicore.chip import MultiCoreChip
@@ -253,7 +252,7 @@ class SolarCoreController:
                 )
 
             # surplus(Vmpp) >= 0 by construction and surplus(Voc) < 0.
-            v_right = float(brentq(surplus, mpp.voltage, voc, xtol=1e-6))
+            v_right, _ = brentq(surplus, mpp.voltage, voc, xtol=1e-6)
         quantum = self.converter.delta_k
         self.converter.k = round(v_right / self.config.rail_voltage / quantum) * quantum
         return self.solve(irradiance, cell_temp_c, minute)

@@ -18,7 +18,6 @@ Two allocators are provided:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.tpr import upgrade_tpr
 from repro.multicore.chip import MultiCoreChip
@@ -107,8 +106,11 @@ def lp_allocation_bound(chip: MultiCoreChip, budget_w: float, minute: float) -> 
                    x >= 0
 
     The chip's constant uncore power is paid off the top, as in the greedy
-    allocator.  Does not mutate the chip.
+    allocator.  Does not mutate the chip.  SciPy is imported here, on the
+    first call, so that importing the package never loads it.
     """
+    from scipy.optimize import linprog
+
     budget_w = budget_w - chip.uncore_power_w
     if budget_w <= 0:
         raise ValueError("budget does not even cover the uncore power")

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from repro.brent import brentq
 from repro.environment.locations import ALL_LOCATIONS, EVALUATED_MONTHS
 from repro.harness.parallel import SweepTask, grid_tasks
 from repro.harness.runner import SimulationRunner
@@ -113,12 +113,11 @@ def fig01_fixed_load_utilization(
     rows = []
     for g in irradiances:
         voc = array.open_circuit_voltage(g, cell_temp_c)
-        v_op = float(
-            brentq(
-                lambda v: array.current(v, g, cell_temp_c) - v / resistance,
-                1e-9,
-                voc,
-            )
+        v_op, _ = brentq(
+            lambda v: array.current(v, g, cell_temp_c) - v / resistance,
+            1e-9,
+            voc,
+            xtol=2e-12,
         )
         power = v_op * array.current(v_op, g, cell_temp_c)
         mpp = find_mpp(array, g, cell_temp_c)

@@ -18,8 +18,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
+from repro.brent import brentq
 from repro.power.converter import DCDCConverter
 from repro.pv.curves import PVDevice
 from repro.telemetry import hub as telemetry_hub
@@ -32,7 +31,7 @@ log = logging.getLogger(__name__)
 class OperatingPointError(RuntimeError):
     """The coupled PV-converter-load solve failed.
 
-    Raised instead of a bare scipy ``ValueError`` when the root-find
+    Raised instead of the root-finder's bare ``ValueError`` when it
     cannot bracket an equilibrium (NaN inputs, a degenerate I-V curve);
     the message names the full (G, T, k, load) coordinates so a failing
     sweep cell can be reproduced in isolation.
@@ -115,20 +114,10 @@ def solve_operating_point(
         return device.current(v, irradiance, cell_temp_c) - v / reflected
 
     # mismatch(0+) = Isc > 0, mismatch(Voc) = -Voc/reflected < 0.
+    if tel.enabled:
+        lap = tel.laps()
     try:
-        if tel.enabled:
-            # full_output returns the identical root plus the iteration
-            # count; only an enabled hub pays for the RootResults.
-            lap = tel.laps()
-            root, info = brentq(
-                mismatch, 1e-9, voc, xtol=1e-9, rtol=1e-12, full_output=True
-            )
-            lap("power.operating_point")
-            tel.count("power.brentq_calls")
-            tel.count("power.brentq_iterations", info.iterations)
-            v_pv = float(root)
-        else:
-            v_pv = float(brentq(mismatch, 1e-9, voc, xtol=1e-9, rtol=1e-12))
+        v_pv, iterations = brentq(mismatch, 1e-9, voc, xtol=1e-9, rtol=1e-12)
     except ValueError as exc:
         # brentq's "f(a) and f(b) must have different signs" with no hint
         # of which grid cell produced it is undebuggable mid-sweep.
@@ -136,6 +125,10 @@ def solve_operating_point(
             f"operating-point solve failed on (0, Voc={voc!r} V): {exc} "
             f"({coordinates()})"
         ) from exc
+    if tel.enabled:
+        lap("power.operating_point")
+        tel.count("power.brentq_calls")
+        tel.count("power.brentq_iterations", iterations)
     if math.isnan(v_pv):
         raise OperatingPointError(
             f"operating-point solve returned NaN ({coordinates()})"

@@ -52,8 +52,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from repro.brent import brentq
 from repro.power.operating_point import OperatingPoint, solve_operating_point
 from repro.pv.mpp import MaxPowerPoint, find_mpp
 from repro.pv.vector import VectorizedDevice, device_scaling, lambertw_of_exp_array
@@ -401,7 +401,7 @@ class OperatingSurfaces:
             # Exact coupled solve directly on the load line I = V/rho.
             voc = device.open_circuit_voltage(gi, ti)
             r = math.exp(float(x[i])) * v_t * v_t / p_t
-            v_exact = brentq(
+            v_exact, _ = brentq(
                 lambda v: device.current(v, gi, ti) - v / r,
                 1e-9,
                 voc,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
+from repro.brent import minimize_bounded
 from repro.pv.curves import PVDevice
 from repro.telemetry import hub as telemetry_hub
 
@@ -62,13 +61,14 @@ def find_mpp(
         return MaxPowerPoint(0.0, 0.0, 0.0, irradiance, temperature_c)
     voc = device.open_circuit_voltage(irradiance, temperature_c)
 
-    result = minimize_scalar(
-        lambda v: -v * device.current(v, irradiance, temperature_c),
-        bounds=(0.0, voc),
-        method="bounded",
-        options={"xatol": tolerance},
+    v_mpp = float(
+        minimize_bounded(
+            lambda v: -v * device.current(v, irradiance, temperature_c),
+            0.0,
+            voc,
+            xatol=tolerance,
+        )
     )
-    v_mpp = float(result.x)
     i_mpp = device.current(v_mpp, irradiance, temperature_c)
     return MaxPowerPoint(
         voltage=v_mpp,

@@ -16,8 +16,8 @@ trackers) works on it unchanged.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from repro.brent import brentq, minimize_bounded
 from repro.pv.module import PVModule
 from repro.pv.mpp import MaxPowerPoint
 from repro.pv.params import ModuleParameters, bp3180n
@@ -131,17 +131,9 @@ class ShadedSeriesString:
         # Same solver contract as repro.power.operating_point: the root
         # work is booked on the shared brentq counters, and bracketing
         # failures surface as OperatingPointError with full coordinates
-        # instead of scipy's bare ValueError.
-        tel = telemetry_hub.current()
+        # instead of the root-finder's bare ValueError.
         try:
-            if tel.enabled:
-                root, info = brentq(
-                    mismatch, 0.0, i_max, xtol=1e-9, full_output=True
-                )
-                tel.count("power.brentq_calls")
-                tel.count("power.brentq_iterations", info.iterations)
-                return float(root)
-            return float(brentq(mismatch, 0.0, i_max, xtol=1e-9))
+            root, iterations = brentq(mismatch, 0.0, i_max, xtol=1e-9)
         except ValueError as exc:
             from repro.power.operating_point import OperatingPointError
 
@@ -150,6 +142,11 @@ class ShadedSeriesString:
                 f"{exc} (V={voltage!r} V, G={irradiance!r} W/m^2, "
                 f"T={cell_temp_c!r} C, shading={self.shading_factors!r})"
             ) from exc
+        tel = telemetry_hub.current()
+        if tel.enabled:
+            tel.count("power.brentq_calls")
+            tel.count("power.brentq_iterations", iterations)
+        return root
 
     def power(self, voltage: float, irradiance: float, cell_temp_c: float) -> float:
         """String power [W] at a terminal voltage."""
@@ -178,13 +175,12 @@ def find_global_mpp(
     best = int(np.argmax(powers))
     lo = voltages[max(0, best - 1)]
     hi = voltages[min(n_samples - 1, best + 1)]
-    result = minimize_scalar(
+    v_mpp = minimize_bounded(
         lambda v: -device.power(v, irradiance, cell_temp_c),
-        bounds=(float(lo), float(hi)),
-        method="bounded",
-        options={"xatol": 1e-5},
+        float(lo),
+        float(hi),
+        xatol=1e-5,
     )
-    v_mpp = float(result.x)
     i_mpp = device.current(v_mpp, irradiance, cell_temp_c)
     return MaxPowerPoint(
         voltage=v_mpp,

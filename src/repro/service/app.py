@@ -441,7 +441,7 @@ class SolarCoreService:
         """
         try:
             self.journal.observer(event, job)
-            self.journal.maybe_compact(self.table.jobs())
+            self.journal.maybe_compact(self.table.jobs)
         except Exception:  # noqa: BLE001 — a sick disk must not wedge the table
             log.exception("journal append failed for %s (%s)", job.job_id, event)
 

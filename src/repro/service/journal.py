@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -232,11 +233,15 @@ class JobJournal:
         self.compactions += 1
         self._since_compact = 0
 
-    def maybe_compact(self, jobs: list[Job]) -> bool:
-        """Compact when ``compact_every`` appends have accumulated."""
+    def maybe_compact(self, jobs: Callable[[], list[Job]]) -> bool:
+        """Compact when ``compact_every`` appends have accumulated.
+
+        ``jobs`` returns every job; it is called only when a compaction is
+        due, so an append does not copy the job table.
+        """
         if self._since_compact < self.compact_every:
             return False
-        self.compact(jobs)
+        self.compact(jobs())
         return True
 
     # -- bookkeeping -----------------------------------------------------

@@ -22,6 +22,7 @@ from repro.service.jobs import (
     JobTable,
 )
 from repro.service.journal import JobJournal, JournalCorruption
+from tests.service.conftest import run_async
 
 
 def spec(month: int = 7, deadline_s: float | None = None) -> JobSpec:
@@ -159,12 +160,12 @@ def test_maybe_compact_honors_threshold(tmp_path):
     journal = JobJournal(tmp_path, compact_every=4)
     table = JobTable(observer=journal.observer)
     job = table.create(spec())          # 1 append
-    assert journal.maybe_compact(table.jobs()) is False
+    assert journal.maybe_compact(table.jobs) is False
     table.transition(job, RUNNING)      # 2
     table.transition(job, DONE)         # 3
-    assert journal.maybe_compact(table.jobs()) is False
+    assert journal.maybe_compact(table.jobs) is False
     table.create(spec(2))               # 4
-    assert journal.maybe_compact(table.jobs()) is True
+    assert journal.maybe_compact(table.jobs) is True
     journal.close()
     assert journal.compactions == 1
     assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
@@ -267,3 +268,32 @@ def test_opening_a_journal_removes_only_old_compaction_temps(tmp_path, caplog):
         JobJournal(tmp_path)
     assert sorted(p.name for p in tmp_path.glob("*.tmp")) == ["journal-new.tmp"]
     assert "removed 1 orphaned temp file(s)" in caplog.text
+
+
+def test_service_lists_its_jobs_once_per_compaction_not_per_append(
+    tmp_path, harness_factory, monkeypatch
+):
+    # The observer runs on every append; copying the job table there is
+    # work only a due compaction uses.
+    calls = []
+    jobs = JobTable.jobs
+
+    def counted_jobs(table):
+        calls.append(table)
+        return jobs(table)
+
+    monkeypatch.setattr(JobTable, "jobs", counted_jobs)
+
+    async def main():
+        async with harness_factory(journal_dir=tmp_path) as h:
+            journal = h.service.journal
+            journal.compact_every = 4
+            # Start-up compacts the replayed (empty) history once.
+            assert (len(calls), journal.compactions) == (1, 1)
+            for month in range(1, 11):
+                h.service.table.create(spec(month))
+            assert journal.appends == 10
+            assert journal.compactions == 3
+            assert len(calls) == 3
+
+    run_async(main())

@@ -22,11 +22,18 @@ must then leave the list).
 The same walk checks that the package has no environment knobs: no module
 reads or sets an environment variable (``os.environ``, ``os.getenv``,
 ``os.putenv``), so arguments and config alone decide what a run does.
+
+A last check starts a fresh interpreter, imports every program entry, runs
+a short day on each solver and an MPP solve, and finds no ``scipy`` module
+loaded: SciPy is a test-time reference, not a start-up cost.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -185,3 +192,45 @@ def environment_uses(path: Path) -> list[str]:
 def test_the_package_reads_no_environment_variables():
     uses = [use for path in MODULES.values() for use in environment_uses(path)]
     assert not uses, f"environment variable uses in src/repro: {uses}"
+
+
+#: Imports every program entry, runs one short day on each solver and an
+#: MPP solve, then prints the ``scipy`` packages that got loaded.
+STARTUP_SCRIPT = """
+import sys
+
+import repro
+import repro.cli
+import repro.harness.experiments
+import repro.harness.paper_summary
+import repro.harness.runner
+import repro.service.app
+from repro.core.config import SolarCoreConfig
+from repro.core.simulation import run_day
+from repro.environment.locations import location_by_code
+from repro.pv.array import PVArray
+from repro.pv.mpp import find_mpp
+
+site = location_by_code("AZ")
+for solver in ("exact", "table"):
+    day = run_day("HM2", site, 7, config=SolarCoreConfig(step_minutes=30.0, solver=solver))
+    assert day.retired_ginst_solar > 0.0, solver
+assert find_mpp(PVArray(), 800.0, 40.0).power > 0.0
+print(sorted({
+    ".".join(name.split(".")[:2]) for name in sys.modules
+    if name.partition(".")[0] == "scipy"
+}))
+"""
+
+
+def test_starting_and_running_the_package_loads_no_scipy():
+    path = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT.parent), os.environ.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]", run.stdout
