@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from repro.brent import brentq
 from repro.core.config import SolarCoreConfig
 from repro.core.load_tuning import LoadTuner
+from repro.fold import left_sum
 from repro.multicore.chip import MultiCoreChip
 from repro.power.converter import DCDCConverter
 from repro.power.operating_point import OperatingPoint, solve_operating_point
@@ -151,8 +152,8 @@ class SolarCoreController:
             return self.sensor.read(point)
         readings = [self.sensor.read(point) for _ in range(n)]
         return SensorReading(
-            voltage=sum(r.voltage for r in readings) / n,
-            current=sum(r.current for r in readings) / n,
+            voltage=left_sum(r.voltage for r in readings) / n,
+            current=left_sum(r.current for r in readings) / n,
         )
 
     def _read(self, point: OperatingPoint, minute: float) -> SensorReading:

@@ -7,10 +7,11 @@ a cell -- each mix, policy, budget and de-rating swept over it -- steps
 through the same environment.  A :class:`DayEnvironment` holds it: the
 trace, the per-step cell temperature, and the per-step MPP.  In exact
 mode the MPP comes from :func:`~repro.pv.mpp.find_mpp`.  In table mode
-it comes from one vectorized lookup of the interpolation surface: the
-``pmpp`` array, which fastday's spans read, and the MPP points built
-from the same powers and voltages, which the per-minute loop and
-fastday's event steps read.  Both paths therefore see one MPP series.
+it comes from one vectorized lookup of the interpolation surface, and
+the MPP points are built from the same powers and voltages.  On either
+solver the ``pmpp`` array holds the points' powers: fastday's spans read
+it, and the per-minute loop and fastday's event steps read the points.
+Both paths therefore see one MPP series.
 
 :func:`prepare_day` is the one prologue behind every ``*_day_engine``
 factory and the only place a day's environment is resolved.  It names
@@ -140,9 +141,8 @@ class DayEnvironment:
         mpp: Per-step :class:`~repro.pv.mpp.MaxPowerPoint` sequence:
             exact, or in table mode built on first read from the
             surface's vectorized lookup (None likewise).
-        pmpp: Per-step MPP power [W] from the surface's vectorized
-            lookup, the powers of ``mpp``; None unless the environment
-            holds surface points.
+        pmpp: Per-step MPP power [W], the powers of ``mpp`` (None
+            likewise).
     """
 
     def __init__(
@@ -214,6 +214,7 @@ class DayEnvironment:
             self.mpp = tuple(
                 find_mpp(device, g, t) for g, t in zip(irradiance, cell_temp)
             )
+            pmpp = np.array([point.power for point in self.mpp])
         else:
             # The NOCT model over the whole day: the scalar model's floats.
             cell_temp = surfaces.vectorized.cell_temperature_from_ambient(
@@ -223,7 +224,7 @@ class DayEnvironment:
             self.mpp = _SurfacePoints(
                 pmpp.tolist(), vmpp.tolist(), irradiance, cell_temp.tolist()
             )
-            self.pmpp = _readonly(pmpp, self.steps)
+        self.pmpp = _readonly(pmpp, self.steps)
         self.cell_temp = _readonly(cell_temp, self.steps)
 
 

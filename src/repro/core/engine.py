@@ -33,6 +33,12 @@ Adding a new supply policy is therefore a ~100-line plugin — subclass
 :class:`SupplyPolicy`, pick or extend a recorder, and wire a thin public
 ``run_day_*`` shim — instead of a forked copy of the stepping loop.  See
 DESIGN.md section 9 for a walkthrough.
+
+The per-minute loop is the reference.  The MPPT, fixed-budget and
+battery days of a fault-free run take the batched path of
+:mod:`repro.core.fastday` instead, on either solver: it runs the real
+policy code at the event steps and evaluates the minutes between them as
+array programs, with the loop's bytes.
 """
 
 from __future__ import annotations
@@ -264,15 +270,15 @@ class DayEngine:
         # cannot represent (fault wrappers, shaded strings), in which case
         # the run silently stays on the exact solvers.
         self.surfaces = None
-        #: Why this table-mode day keeps the scalar loop instead of the
-        #: batched fast path (None: it batches, or the solver is exact).
-        self.fastday_decline = None
         if self.config.solver == "table":
-            from repro.core import fastday
             from repro.power.surface import get_surfaces
 
             self.surfaces = get_surfaces(self.array)
-            self.fastday_decline = fastday.decline_reason(self)
+        from repro.core import fastday
+
+        #: Why this day keeps the per-minute loop instead of the batched
+        #: day path (None: it batches).
+        self.fastday_decline = fastday.decline_reason(self)
 
     def run(self):
         """Step the whole day; return the recorder's built result.
@@ -316,19 +322,18 @@ class DayEngine:
         lap = tel.laps()
         env = self.environment.solve()
         lap("day.environment")
-        # Batched fast path: when the table solver is active and nothing
-        # requires per-step hooks (no fault injection), supported policies
-        # can be evaluated as NumPy array programs over whole spans of
-        # minutes.  An enabled hub counts every table-mode day that keeps
-        # the scalar loop under ``fastday.declined.<reason>``.
-        if self.config.solver == "table":
-            if self.fastday_decline is None:
-                from repro.core import fastday
+        # Batched day path, on either solver: when nothing requires
+        # per-step hooks (no fault injection) and the policy is one it
+        # knows, the minutes between events run as NumPy array programs,
+        # byte-identical to this loop.  An enabled hub counts every day
+        # that keeps the loop under ``fastday.declined.<reason>``.
+        if self.fastday_decline is None:
+            from repro.core import fastday
 
-                if fastday.run_fast(self, tel):
-                    return self._finish(tel)
-            elif tel.enabled:
-                tel.count(f"fastday.declined.{self.fastday_decline}")
+            if fastday.run_fast(self, tel):
+                return self._finish(tel)
+        elif tel.enabled:
+            tel.count(f"fastday.declined.{self.fastday_decline}")
 
         minutes = env.minutes.tolist()
         irradiances = env.irradiance.tolist()

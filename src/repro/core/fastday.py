@@ -1,34 +1,44 @@
-"""Batched table-mode day evaluation: spans of minutes as array programs.
+"""Batched day evaluation: the minutes between events as array programs.
 
-The scalar :meth:`DayEngine._run` loop pays Python-interpreter overhead at
-every minute even when nothing interesting happens at that minute.  In
-table-solver mode the expensive electrical solves are already microsecond
-lookups, so the remaining cost is the per-step chip accounting — and that
-is vectorizable, because between *events* (supply switches, tracking
-events, budget reallocations) the chip's DVFS/gating state is frozen and
-every per-step observable is an affine function of the per-core phase
-IPCs:
+A SolarCore day is a minute-stepped co-simulation, but the chip's DVFS
+and gating state moves only at *events*: supply switches, tracking events
+and budget reallocations, about every 10 minutes (paper Sections 4.2 and
+5).  Between events every per-step observable is a fixed function of the
+per-core phase IPCs.  This module finds the event steps with the
+policies' own trigger predicates (``MPPTPolicy.track_due``,
+``FixedBudgetPolicy.alloc_due``), runs the *real* policy code at those
+steps on the day's solver (so tracking, tuning, DVFS transition counting
+and sensor behaviour are the per-minute loop's code), and keeps the chip
+state each event leaves.  Then it evaluates every step's chip accounting
+for the whole day at once, as NumPy programs over whole-day arrays: the
+MPP power of the day's shared environment (:mod:`repro.core.dayenv`),
+the per-core IPCs, and each span's chip state.
 
-    power[t]      = uncore + sum_c dyn_c * ipc_c[t] + leak
-    throughput[t] = sum_c f_c * ipc_c[t]
+The arithmetic repeats the float operations of
+:meth:`~repro.core.engine.DayEngine._run` in the same order, so a batched
+day equals the per-minute loop byte for byte, exact or table:
 
-This module finds the event steps with the policies' own trigger
-predicates (``MPPTPolicy.track_due``, ``FixedBudgetPolicy.alloc_due``),
-runs the *real* policy code at those steps (so tracking, tuning, DVFS
-transition counting, and sensor behaviour are exactly the scalar-loop
-code paths), and evaluates every span in between as NumPy programs over
-whole-day arrays: the cell temperature and MPP power of the day's shared
-environment (:mod:`repro.core.dayenv`), and the per-core IPC and ATS
-floor computed once per day.
+* per core, power is ``((epi * v_scale) * ipc) * freq + leak`` and
+  throughput ``ipc * freq`` (:meth:`Core.coefficients`); cores add left
+  to right, starting from 0;
+* a core retires ``(throughput * dt) * 60`` per step;
+* every running sum (each core's retired total, the recorder's
+  ``retired_solar`` and ``utility_wh``, the energy ledger and the battery
+  harvest) adds its per-step terms left to right in step order, folded
+  once per day (:func:`_fold`).
 
-The fast path runs whenever nothing needs per-step hooks: table solver
-active, no fault injection, and a policy / recorder pair this module knows
-how to batch.  The telemetry hub never picks the path: every event the
-scalar loop emits falls on an event step, supply switches included.
-Anything else keeps the engine's scalar loop — which in table mode is
-still surface-backed, just stepped per minute — and :func:`decline_reason`
-names why, so an enabled hub can count ``fastday.declined.<reason>``.
-A profiling hub gets the day's own ``day.*``/``step.*`` phases.
+An event step is the first step of the span its new state covers, so the
+same programs give its accounting too.  The event's own accounting (the
+policy's sample and ``chip.advance``) is discarded: no event code reads a
+running sum, and each sum is folded from its value before the day.
+
+A day batches unless it needs per-step hooks.  :func:`decline_reason`
+names why one keeps the per-minute loop: ``faults`` (a fault schedule)
+or ``policy`` (:func:`supports` rejects the policy/recorder pair, as for
+the full-system and rack policies).  The telemetry hub never picks the
+path: every event the per-minute loop emits falls on an event step,
+supply switches included.  A profiling hub gets the day's own
+``day.*``/``step.*`` phases.
 """
 
 from __future__ import annotations
@@ -47,8 +57,8 @@ def supports(engine) -> str | None:
 
     Policies are matched by exact type (a subclass may override hooks the
     batching assumes frozen), and the recorder must accumulate only the
-    base series (``SeriesRecorder.record`` unoverridden) so spans can be
-    bulk-appended.
+    base series (``SeriesRecorder.record`` unoverridden), which the
+    batched path fills itself.
     """
     from repro.core.policies import (
         BatteryPolicy,
@@ -69,13 +79,11 @@ def supports(engine) -> str | None:
 
 
 def decline_reason(engine) -> str | None:
-    """Why a table-mode day keeps the scalar loop, or None if it can batch.
+    """Why a day keeps the per-minute loop, or None if it can batch.
 
-    ``surfaces`` (the device has no interpolation surface), ``faults``, or
-    ``policy`` (:func:`supports` rejects the policy/recorder pair).
+    ``faults`` (a fault schedule needs per-step hooks) or ``policy``
+    (:func:`supports` rejects the policy/recorder pair).
     """
-    if engine.surfaces is None:
-        return "surfaces"
     if engine.faults is not None:
         return "faults"
     if supports(engine) is None:
@@ -83,151 +91,124 @@ def decline_reason(engine) -> str | None:
     return None
 
 
-def _ipc_matrix(chip, minutes: np.ndarray) -> np.ndarray:
-    """Per-core *effective* IPC at every step: shape ``(n_cores, n_steps)``.
+def _fold(start, terms: np.ndarray):
+    """``start`` plus each term along the last axis, left to right.
 
-    The benchmark's phase IPC scaled by each core type's PERF base, so
-    every downstream array program sees what the core's performance
-    counters would report (for the homogeneous default the scale is
-    exactly 1.0 and the matrix is bit-identical to the raw phase IPCs).
+    ``np.add.accumulate`` adds in order with one rounding per term, as a
+    running ``+=`` does; ``np.sum`` adds pairwise and would not.
     """
-    return np.stack(
-        [
-            core._ipc_scale * core.phase_trace.ipc_array(minutes)
-            for core in chip.cores
-        ]
-    )
+    start = np.asarray(start, dtype=np.float64)
+    column = start[..., None]
+    return np.add.accumulate(np.concatenate((column, terms), axis=-1), axis=-1)[..., -1]
+
+
+def _cores_left_to_right(rows: np.ndarray) -> np.ndarray:
+    """Per-step total over the cores (rows), added in core order from 0."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+def _power(coefficients: np.ndarray, ipc: np.ndarray) -> np.ndarray:
+    """Per-core power ``((a * ipc) * freq) + leak`` from ``(a, freq, leak)``
+    arrays that broadcast against the per-core IPC rows."""
+    a, freq, leak = coefficients
+    return a * ipc * freq + leak
 
 
 def _floor_array(chip, ipc: np.ndarray, with_gating: bool) -> np.ndarray:
     """``chip.floor_power_at`` for every step at once.
 
-    With PCPG the floor is the cheapest core at the bottom level — a
-    minimum over *all* cores, independent of gating state.  Without PCPG
-    no tuner ever gates a core (``make_tuner(allow_gating=False)``), so
-    the floor is the all-cores sum at the bottom level.  Either way the
-    array depends only on the phase IPCs, never on mutable chip state.
-
-    Heterogeneity: every coefficient is per-core — each core's own table
-    bottom, voltage ratio, and leakage reference.  For the homogeneous
-    default the per-core values equal the old shared-table scalars, and
-    broadcasting the same float64 multiply per element keeps the result
-    bit-identical.
+    With PCPG the floor is the cheapest core at its bottom level, a
+    minimum over *all* cores whatever their gating.  Without PCPG no
+    tuner ever gates a core (``make_tuner(allow_gating=False)``), so the
+    floor is every core at its bottom level, added in core order.  Either
+    way the array depends only on the phase IPCs, never on chip state.
     """
-    vr2f = np.empty(len(chip.cores))
-    leak = np.empty(len(chip.cores))
-    epi = np.empty(len(chip.cores))
-    for i, core in enumerate(chip.cores):
-        table = core.table
-        level = table.min_level
-        vr2 = (table.voltage(level) / table.max_voltage) ** 2
-        vr2f[i] = vr2 * table.frequency(level)
-        leak[i] = core.power_model.leakage_ref_w * vr2
-        epi[i] = core._epi_nj
-    per_core = epi[:, None] * vr2f[:, None] * ipc + leak[:, None]
-    folded = per_core.min(axis=0) if with_gating else per_core.sum(axis=0)
+    bottom = np.array(
+        [core.coefficients(core.table.min_level) for core in chip.cores]
+    ).T[:, :, None]
+    per_core = _power(bottom, ipc)
+    folded = per_core.min(axis=0) if with_gating else _cores_left_to_right(per_core)
     return chip.uncore_power_w + folded
 
 
-def _span_coefficients(chip) -> tuple[np.ndarray, np.ndarray, float]:
-    """Affine chip coefficients for the *current* (frozen) DVFS state.
+def _evaluate(engine, env, ipc, spans, retired_before, budget_w) -> None:
+    """Every step's chip accounting, recorded and folded into the sums.
 
-    Returns ``(dyn, freq, leak)`` with per-core dynamic-power slopes
-    [W per effective IPC], per-core frequencies [GHz] (zero where
-    gated), and the total active leakage [W].  Each core contributes
-    through its own DVFS table and power model.
+    ``spans`` is ``(starts, solar, states)``: span ``k`` runs from event
+    step ``starts[k]`` to the next event, on the supply ``solar[k]`` and
+    the chip state ``states[k]``.  Each core's retired total is folded
+    from ``retired_before``, its value before the day.
     """
-    dyn = np.zeros(len(chip.cores))
-    freq = np.zeros(len(chip.cores))
-    leak = 0.0
-    for i, core in enumerate(chip.cores):
-        if core.gated:
-            continue
-        table = core.table
-        point = table[core.level]
-        vr2 = (point.voltage_v / table.max_voltage) ** 2
-        dyn[i] = core._epi_nj * vr2 * point.frequency_ghz
-        freq[i] = point.frequency_ghz
-        leak += core.power_model.leakage_ref_w * vr2
-    return dyn, freq, leak
-
-
-def _flush_span(
-    engine,
-    env,
-    ipc: np.ndarray,
-    start: int,
-    end: int,
-    solar: bool,
-    budget_w: float | None,
-) -> None:
-    """Evaluate steps ``[start, end)`` with frozen chip state and record them.
-
-    Fills the base recorder series, books the energy ledger, and credits
-    each core's retired-instruction total — everything the scalar loop
-    would have accumulated over the same steps, as one array program.
-    """
-    if start >= end:
+    starts, solar, states = spans
+    if not starts:
         return
     chip = engine.policy.chip
     recorder = engine.recorder
     ledger = engine.ledger
     dt = engine.config.step_minutes
-    count = end - start
-    dyn, freq, leak = _span_coefficients(chip)
-    segment = ipc[:, start:end]
-    power = chip.uncore_power_w + leak + dyn @ segment
-    throughput = freq @ segment
-    retired_per_core = (freq[:, None] * segment).sum(axis=1) * dt * 60.0
-    for core, retired in zip(chip.cores, retired_per_core):
-        core.credit_retired(float(retired))
+    lengths = np.diff(np.append(starts, env.steps))
+    # (3, n_cores, n_steps): each step's (a, freq, leak) per core.
+    coefficients = np.repeat(np.array(states), lengths, axis=0).transpose(2, 1, 0)
+    on_solar = np.repeat(np.array(solar), lengths)
 
-    recorder.minutes.extend(env.minutes[start:end].tolist())
-    recorder.mpp_w.extend(env.pmpp[start:end].tolist())
+    power = chip.uncore_power_w + _cores_left_to_right(_power(coefficients, ipc))
+    per_core_throughput = ipc * coefficients[1]
+    throughput = _cores_left_to_right(per_core_throughput)
+    per_core_retired = per_core_throughput * dt * 60.0
+    cap = env.pmpp if budget_w is None else budget_w
+    consumed = np.where(on_solar, np.minimum(power, cap), 0.0)
+    utility_w = np.where(on_solar, 0.0, power)
+    retired_solar = np.where(on_solar, _cores_left_to_right(per_core_retired), 0.0)
+    utility_wh = utility_w * dt / 60.0
+
+    recorder.minutes.extend(env.minutes.tolist())
+    recorder.mpp_w.extend(env.pmpp.tolist())
+    recorder.consumed_w.extend(consumed.tolist())
     recorder.throughput.extend(throughput.tolist())
-    recorder.on_solar.extend([solar] * count)
-    if solar:
-        cap = env.pmpp[start:end] if budget_w is None else budget_w
-        consumed = np.minimum(power, cap)
-        recorder.consumed_w.extend(consumed.tolist())
-        recorder.retired_solar += float(throughput.sum()) * dt * 60.0
-        solar_wh = float(consumed.sum()) * dt / 60.0
-        ledger.solar_wh += solar_wh
-        ledger.load_wh += solar_wh
-    else:
-        recorder.consumed_w.extend([0.0] * count)
-        utility_wh = float(power.sum()) * dt / 60.0
-        recorder.utility_wh += utility_wh
-        ledger.utility_wh += utility_wh
-        ledger.load_wh += utility_wh
+    recorder.on_solar.extend(on_solar.tolist())
+    recorder.retired_solar = float(_fold(recorder.retired_solar, retired_solar))
+    recorder.utility_wh = float(_fold(recorder.utility_wh, utility_wh))
+    ledger.solar_wh = float(_fold(ledger.solar_wh, consumed * dt / 60.0))
+    ledger.utility_wh = float(_fold(ledger.utility_wh, utility_wh))
+    ledger.load_wh = float(_fold(ledger.load_wh, (consumed + utility_w) * dt / 60.0))
+    retired = _fold(retired_before, per_core_retired)
+    for core, total in zip(chip.cores, retired.tolist()):
+        core.retired_ginst = total
 
 
 def _run_stepped(engine, tel, env, mode: str, lap) -> None:
-    """The MPPT / fixed-budget day: event steps real, spans vectorized."""
+    """The MPPT / fixed-budget day: event steps real, the rest batched."""
     policy = engine.policy
     chip = policy.chip
     cfg = engine.config
     dt = cfg.step_minutes
-    recorder = engine.recorder
-    ledger = engine.ledger
     ats = engine.ats
     predictor = getattr(policy, "predictor", None)
     budget_w = policy.budget_w if mode == "fixed" else None
+    # The events' own chip.advance calls are recounted from these.
+    retired_before = [core.retired_ginst for core in chip.cores]
 
-    ipc = _ipc_matrix(chip, env.minutes)
+    ipc = np.stack([core.ipc_array(env.minutes) for core in chip.cores])
     floor = _floor_array(chip, ipc, cfg.enable_pcpg)
     if mode == "fixed":
-        solar_mask = (env.pmpp >= policy.budget_w) & (policy.budget_w >= floor)
+        eligible = ((env.pmpp >= budget_w) & (budget_w >= floor)).tolist()
+    minutes = env.minutes.tolist()
+    pmpps = env.pmpp.tolist()
+    floors = floor.tolist()
     lap("day.chip_arrays")
 
+    starts: list[int] = []
+    solar: list[bool] = []
+    states: list[list[tuple[float, float, float]]] = []
     on_solar_prev = False
-    pending_start = 0
-    pending_solar = False
     for index in range(env.steps):
-        minute = float(env.minutes[index])
-        pmpp = float(env.pmpp[index])
+        minute = minutes[index]
+        pmpp = pmpps[index]
         if mode == "mppt":
-            source = ats.update(pmpp, float(floor[index]))
+            source = ats.update(pmpp, floors[index])
             on_solar = source is PowerSource.SOLAR
             event = (
                 (not on_solar_prev) or policy.track_due(minute, pmpp)
@@ -235,7 +216,7 @@ def _run_stepped(engine, tel, env, mode: str, lap) -> None:
                 else on_solar_prev or index == 0
             )
         else:
-            on_solar = bool(solar_mask[index])
+            on_solar = eligible[index]
             event = (
                 policy.alloc_due(minute)
                 if on_solar
@@ -243,10 +224,6 @@ def _run_stepped(engine, tel, env, mode: str, lap) -> None:
             )
         if event:
             lap("step.scan")
-            _flush_span(
-                engine, env, ipc, pending_start, index, pending_solar, budget_w
-            )
-            lap("step.spans")
             ctx = StepContext(
                 index=index,
                 minute=minute,
@@ -257,48 +234,41 @@ def _run_stepped(engine, tel, env, mode: str, lap) -> None:
                 dt=dt,
             )
             if mode == "mppt" and on_solar is not on_solar_prev and tel.enabled:
-                # The engine's own event, where its scalar loop emits it.
+                # The engine's own event, where its per-minute loop emits it.
                 tel.count("sim.supply_switches")
                 tel.emit(
                     SupplySwitchEvent(
                         minute=minute,
                         source=source.value,
                         available_solar_w=ctx.mpp.power,
-                        load_floor_w=float(floor[index]),
+                        load_floor_w=floors[index],
                     )
                 )
             if on_solar:
                 if not on_solar_prev:
                     policy.enter_solar(ctx)
-                sample = policy.solar_step(ctx)
+                policy.solar_step(ctx)
             else:
-                sample = policy.utility_step(ctx)
-            recorder.record(ctx, on_solar, sample)
-            ledger.book(on_solar, sample, dt)
-            pending_start = index + 1
+                policy.utility_step(ctx)
+            starts.append(index)
+            solar.append(on_solar)
+            states.append([core.coefficients() for core in chip.cores])
             lap("step.events")
-        else:
-            if index == pending_start:
-                pending_solar = on_solar
-            if on_solar and predictor is not None:
-                predictor.observe(minute, pmpp)
+        elif on_solar and predictor is not None:
+            predictor.observe(minute, pmpp)
         on_solar_prev = on_solar
     lap("step.scan")
-    _flush_span(
-        engine, env, ipc, pending_start, env.steps, pending_solar, budget_w
-    )
+    _evaluate(engine, env, ipc, (starts, solar, states), retired_before, budget_w)
     lap("step.spans")
 
 
 def run_fast(engine, tel) -> bool:
-    """Run the whole day batched; ``False`` = caller keeps the scalar loop.
+    """Run the whole day batched; ``False`` = caller keeps the per-minute loop.
 
     On ``True`` the recorder, the energy ledger, and the policy/chip state
-    are exactly as if the scalar loop had stepped the day (modulo the
-    table solver's documented error bound and floating-point summation
-    order), and ``tel`` has seen the same events and counters; the
-    engine's shared end-of-day bookkeeping still runs in
-    :meth:`DayEngine._finish`.
+    hold the bytes the per-minute loop would have left, and ``tel`` has
+    seen the same events and counters; the engine's shared end-of-day
+    bookkeeping still runs in :meth:`DayEngine._finish`.
     """
     mode = supports(engine)
     if mode is None:
@@ -308,9 +278,9 @@ def run_fast(engine, tel) -> bool:
     if mode == "battery":
         # The harvest loop integrates MPP power and records nothing; the
         # spend phase runs in BatteryPolicy.finalize via recorder.build.
-        engine.policy.harvested_wh += (
-            float(env.pmpp.sum()) * engine.config.step_minutes / 60.0
-        )
+        policy = engine.policy
+        harvest = env.pmpp * engine.config.step_minutes / 60.0
+        policy.harvested_wh = float(_fold(policy.harvested_wh, harvest))
         lap("step.spans")
     else:
         _run_stepped(engine, tel, env, mode, lap)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.core.load_tuning import LoadTuner
 from repro.core.tpr import downgrade_tpr, upgrade_tpr
+from repro.fold import left_sum
 from repro.fullsystem.component import TunableComponent
 from repro.multicore.chip import NOMINAL_RAIL_V, MultiCoreChip
 
@@ -53,14 +54,14 @@ class FullSystemLoad:
     # ------------------------------------------------------------------
     def total_power_at(self, minute: float) -> float:
         """Server power [W]: chip plus every platform component."""
-        return self.chip.total_power_at(minute) + sum(
+        return self.chip.total_power_at(minute) + left_sum(
             c.power for c in self.components
         )
 
     def floor_power_at(self, minute: float, with_gating: bool = True) -> float:
         """Minimum sustainable server power [W]: chip floor plus every
         component at its bottom level."""
-        return self.chip.floor_power_at(minute, with_gating) + sum(
+        return self.chip.floor_power_at(minute, with_gating) + left_sum(
             c.power_at_level(0) for c in self.components
         )
 
@@ -78,7 +79,7 @@ class FullSystemLoad:
     # ------------------------------------------------------------------
     def _chip_weight(self, minute: float) -> float:
         """Chip utility per GIPS: weight normalized by peak throughput."""
-        peak = sum(
+        peak = left_sum(
             core.throughput_at_level(core.table.max_level, minute)
             for core in self.chip.cores
         )

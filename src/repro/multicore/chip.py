@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 
+from repro.fold import left_sum
 from repro.multicore.core import Core
 from repro.multicore.dvfs import DVFSTable, default_dvfs_table
 from repro.multicore.power_model import CorePowerModel
@@ -193,9 +194,10 @@ class MultiCoreChip:
         memo = self._power_memo
         if memo[0] == minute and memo[1] == version:
             return memo[2]
-        value = self.uncore_power_w + sum(
-            core.power_at(minute) for core in self.cores
-        )
+        cores = 0.0
+        for core in self.cores:
+            cores += core.power_at(minute)
+        value = self.uncore_power_w + cores
         self._power_memo = (minute, version, value)
         return value
 
@@ -205,7 +207,9 @@ class MultiCoreChip:
         memo = self._throughput_memo
         if memo[0] == minute and memo[1] == version:
             return memo[2]
-        value = sum(core.throughput_at(minute) for core in self.cores)
+        value = 0.0
+        for core in self.cores:
+            value += core.throughput_at(minute)
         self._throughput_memo = (minute, version, value)
         return value
 
@@ -215,7 +219,7 @@ class MultiCoreChip:
         This is the floor the load can reach without power gating — the
         reference for the direct-coupled system's power-transfer threshold.
         """
-        return self.uncore_power_w + sum(
+        return self.uncore_power_w + left_sum(
             core.power_at_level(core.table.min_level, minute)
             for core in self.cores
             if not core.gated
@@ -245,7 +249,7 @@ class MultiCoreChip:
 
     def max_power_at(self, minute: float) -> float:
         """Chip power [W] with every active core at the highest level."""
-        return self.uncore_power_w + sum(
+        return self.uncore_power_w + left_sum(
             core.power_at_level(core.table.max_level, minute)
             for core in self.cores
             if not core.gated
@@ -275,12 +279,15 @@ class MultiCoreChip:
 
         Returns total giga-instructions retired in the interval.
         """
-        return sum(core.advance(minute, dt_minutes) for core in self.cores)
+        retired = 0.0
+        for core in self.cores:
+            retired += core.advance(minute, dt_minutes)
+        return retired
 
     @property
     def retired_ginst(self) -> float:
         """Total giga-instructions retired by all cores so far."""
-        return sum(core.retired_ginst for core in self.cores)
+        return left_sum(core.retired_ginst for core in self.cores)
 
     @property
     def total_transitions(self) -> int:
@@ -290,4 +297,4 @@ class MultiCoreChip:
     @property
     def total_transition_volts(self) -> float:
         """Cumulative DVFS voltage swing across all cores [V]."""
-        return sum(core.transition_volts for core in self.cores)
+        return left_sum(core.transition_volts for core in self.cores)

@@ -9,6 +9,8 @@ counters and I/V sensors when computing throughput-power ratios.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.multicore.dvfs import DVFSTable
 from repro.multicore.power_model import CorePowerModel
 from repro.workloads.benchmarks import Benchmark
@@ -135,6 +137,24 @@ class Core:
         """
         return self._ipc_scale * self.phase_trace.ipc_at(minute)
 
+    def ipc_array(self, minutes: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`ipc_at`: the effective IPC at each minute."""
+        return self._ipc_scale * self.phase_trace.ipc_array(minutes)
+
+    def coefficients(self, level: int | None = None) -> tuple[float, float, float]:
+        """``(a, freq, leak)``: at effective IPC ``x`` the core draws
+        ``(a * x) * freq + leak`` and retires ``x * freq``.
+
+        ``level`` defaults to the core's own state, where a gated core
+        reads all zeros (it draws and retires nothing).  The floats are
+        those of :meth:`power_at_level` and :meth:`throughput_at_level`.
+        """
+        if level is None:
+            if self._gated:
+                return 0.0, 0.0, 0.0
+            level = self._level
+        return self.power_model.coefficients(level, self._epi_nj)
+
     def power_at(self, minute: float) -> float:
         """Core power [W] at a time instant (zero when gated)."""
         if self._gated:
@@ -180,18 +200,18 @@ class Core:
         self._retired_ginst += retired
         return retired
 
-    def credit_retired(self, ginst: float) -> None:
-        """Add instructions retired by a batched (vectorized) evaluation.
-
-        The batched day engine computes whole spans of per-step retirement
-        as array programs and credits each core's total here instead of
-        calling :meth:`advance` once per step.
-        """
-        if ginst < 0:
-            raise ValueError(f"ginst must be non-negative, got {ginst}")
-        self._retired_ginst += ginst
-
     @property
     def retired_ginst(self) -> float:
-        """Total giga-instructions retired so far."""
+        """Total giga-instructions retired so far.
+
+        The batched day path (:mod:`repro.core.fastday`) sets it once per
+        day: the total before the day plus every step's :meth:`advance`
+        term, added in step order.
+        """
         return self._retired_ginst
+
+    @retired_ginst.setter
+    def retired_ginst(self, ginst: float) -> None:
+        if ginst < 0:
+            raise ValueError(f"ginst must be non-negative, got {ginst}")
+        self._retired_ginst = ginst

@@ -92,6 +92,18 @@ class CorePowerModel:
             + self._leak[level]
         )
 
+    def coefficients(
+        self, level: int, epi_nj: float
+    ) -> tuple[float, float, float]:
+        """``(a, freq, leak)`` at ``level`` for a benchmark of ``epi_nj``.
+
+        At IPC ``x`` the core draws ``(a * x) * freq + leak`` and retires
+        ``x * freq``: the floats of :meth:`total_power` and
+        :meth:`throughput_gips`, for array programs over many ``x``.
+        """
+        self._check(level)
+        return epi_nj * self._v_scale[level], self._freq[level], self._leak[level]
+
     def throughput_gips(self, level: int, ipc: float) -> float:
         """Core throughput [giga-instructions/s] at a level and phase IPC.
 

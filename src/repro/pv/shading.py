@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.brent import brentq, minimize_bounded
+from repro.fold import left_sum
 from repro.pv.module import PVModule
 from repro.pv.mpp import MaxPowerPoint
 from repro.pv.params import ModuleParameters, bp3180n
@@ -104,7 +105,7 @@ class ShadedSeriesString:
         """String Voc [V]: the sum of module Vocs at their local irradiance."""
         if irradiance <= 0.0:
             return 0.0
-        return sum(
+        return left_sum(
             module.open_circuit_voltage(irradiance * f, cell_temp_c)
             for module, f in zip(self.modules, self.shading_factors)
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 
 from repro.core.tpr import upgrade_tpr
+from repro.fold import left_sum
 from repro.multicore.chip import MultiCoreChip
 from repro.telemetry import hub as telemetry_hub
 from repro.telemetry.events import RackDivisionEvent
@@ -86,18 +87,18 @@ def _divide(
     allow_gating: bool,
 ) -> list[float]:
     floors = _floors(chips, minute, allow_gating)
-    if budget_w < sum(floors):
+    if budget_w < left_sum(floors):
         return [0.0] * len(chips)
 
     if policy == "equal":
-        surplus = budget_w - sum(floors)
+        surplus = budget_w - left_sum(floors)
         return [floor + surplus / len(chips) for floor in floors]
 
     if policy == "proportional":
         maxima = [chip.max_power_at(minute) for chip in chips]
         headrooms = [m - f for m, f in zip(maxima, floors)]
-        total_headroom = sum(headrooms)
-        surplus = budget_w - sum(floors)
+        total_headroom = left_sum(headrooms)
+        surplus = budget_w - left_sum(floors)
         if total_headroom <= 0:
             return list(floors)
         return [
@@ -114,7 +115,7 @@ def _divide(
         for chip in chips:
             chip.ungate_all()
             chip.set_all_min()
-        remaining = budget_w - sum(floors)
+        remaining = budget_w - left_sum(floors)
         while remaining > 0:
             best_chip_idx = None
             best_tpr = float("-inf")

@@ -29,6 +29,7 @@ from repro.core.engine import (
 from repro.core.fixed_power import allocate_budget
 from repro.environment.locations import Location
 from repro.environment.trace import EnvironmentTrace
+from repro.fold import left_sum
 from repro.multicore.chip import MultiCoreChip
 from repro.pv.array import PVArray
 from repro.rack.coordinator import divide_budget
@@ -68,7 +69,7 @@ class RackDayResult:
     @property
     def total_ptp(self) -> float:
         """Rack-wide solar-powered instructions [Ginst]."""
-        return float(sum(self.retired_ginst))
+        return left_sum(self.retired_ginst)
 
     @property
     def energy_utilization(self) -> float:
@@ -112,7 +113,7 @@ class RackPolicy(SupplyPolicy):
         self._last_alloc = -float("inf")
 
     def floor_power(self, ctx: StepContext) -> float:
-        return sum(
+        return left_sum(
             chip.floor_power_at(ctx.minute, with_gating=self.cfg.enable_pcpg)
             for chip in self.chips
         )
@@ -132,7 +133,7 @@ class RackPolicy(SupplyPolicy):
                         chip, share, minute, allow_gating=cfg.enable_pcpg
                     )
             self._last_alloc = minute
-        rack_power = sum(chip.total_power_at(minute) for chip in chips)
+        rack_power = left_sum(chip.total_power_at(minute) for chip in chips)
         drawn = min(rack_power, ctx.mpp.power)
         retired_step = 0.0
         for j, chip in enumerate(chips):
@@ -141,7 +142,7 @@ class RackPolicy(SupplyPolicy):
             retired_step += advanced
         return StepSample(
             consumed_w=drawn,
-            throughput_gips=sum(c.total_throughput_at(minute) for c in chips),
+            throughput_gips=left_sum(c.total_throughput_at(minute) for c in chips),
             retired_ginst=retired_step,
         )
 
@@ -156,7 +157,7 @@ class RackPolicy(SupplyPolicy):
         self._last_alloc = -float("inf")
         return StepSample(
             consumed_w=0.0,
-            throughput_gips=sum(
+            throughput_gips=left_sum(
                 c.total_throughput_at(minute) for c in self.chips
             ),
             utility_w=grid,

@@ -104,14 +104,12 @@ class TestEnvironment:
         env = day_environment(PHOENIX_AZ, 7, PVArray(), solver=solver).solve()
         arrays = [
             env.minutes, env.irradiance, env.ambient_c, env.cell_temp,
-            env.trace.minutes, env.trace.irradiance, env.trace.ambient_c,
+            env.pmpp, env.trace.minutes, env.trace.irradiance, env.trace.ambient_c,
         ]
-        if solver == "table":
-            arrays.append(env.pmpp)
-        else:
-            # Only fastday reads the vectorized powers, and only in table mode.
-            assert env.pmpp is None
+        if solver == "exact":
             assert isinstance(env.mpp, tuple)
+        # Fastday's spans read the powers of the points the loop reads.
+        assert env.pmpp.tolist() == [point.power for point in env.mpp]
         for values in arrays:
             assert not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

@@ -1,10 +1,12 @@
-"""The table-mode day path: what the day is picks it, never the hub.
+"""The batched day path: the per-minute loop's bytes, on either solver.
 
-Every table-mode day that keeps the scalar loop says why
-(``fastday.declined.<reason>``).  A day that batches runs the same path,
-returns the same bytes and emits the same events under the null hub, an
-enabled hub and a profiling hub; the scalar loop (forced by patching
-:func:`fastday.run_fast`) is the event reference.
+A batched day equals the per-minute loop (forced by patching
+:func:`fastday.run_fast`) byte for byte, exact or table, for every day
+kind it batches.  What the day is picks the path, never the hub: every
+day that keeps the per-minute loop says why
+(``fastday.declined.<reason>``), and a day that batches runs the same
+path, returns the same bytes and emits the same events under the null
+hub, an enabled hub and a profiling hub.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 
 from repro.core import fastday
 from repro.core.config import SolarCoreConfig
-from repro.core.simulation import mppt_day_engine, run_day
+from repro.core.simulation import mppt_day_engine, run_day, run_day_fixed
 from repro.environment.locations import PHOENIX_AZ
 from repro.fullsystem.simulation import run_day_fullsystem
 from repro.harness.parallel import SweepTask, compute_task, run_parallel
@@ -34,9 +36,10 @@ TABLE_1MIN = SolarCoreConfig(solver="table")
 #: A sunny and an overcast cell.
 CELLS = (("AZ", 7), ("TN", 1))
 
-#: The four batched day kinds, each as a sweep task.
+#: Every batched day kind, each as a sweep task.
 KINDS = {
     "MPPT&IC": dict(kind="mppt", policy="MPPT&IC"),
+    "MPPT&RR": dict(kind="mppt", policy="MPPT&RR"),
     "MPPT&Opt": dict(kind="mppt", policy="MPPT&Opt"),
     "Fixed-75W": dict(kind="fixed", budget_w=75.0),
     "Battery-L": dict(kind="battery", derating=0.81),
@@ -115,14 +118,17 @@ class TestDeclineCounters:
 
         assert declines(run) == {"policy": 1}
 
-    def test_device_without_surface(self):
-        def run():
-            run_day(
-                "HM2", PHOENIX_AZ, 7, config=TABLE,
-                array=ShadedSeriesString((1.0, 0.4)), faults=FAULTS,
-            )
-
-        assert declines(run) == {"surfaces": 1}
+    def test_device_without_surface(self, fast_runs):
+        # A table day on a device the surface cannot represent batches,
+        # with exact events; only its faults would keep the loop.
+        shaded = ShadedSeriesString((1.0, 0.4))
+        assert declines(lambda: run_day(
+            "HM2", PHOENIX_AZ, 7, config=TABLE, array=shaded,
+        )) == {}
+        assert fast_runs == [True]
+        assert declines(lambda: run_day(
+            "HM2", PHOENIX_AZ, 7, config=TABLE, array=shaded, faults=FAULTS,
+        )) == {"faults": 1}
 
     def test_exact_mode_counts_nothing(self):
         exact = SolarCoreConfig(step_minutes=10.0)
@@ -184,19 +190,16 @@ def observed(kind: str, cell: tuple[str, int], batched: bool):
 
 
 class TestEventParity:
-    """The batched day against the scalar loop as the reference."""
+    """The batched day against the per-minute loop as the reference."""
 
     @pytest.mark.parametrize("kind, cell", DAYS)
     def test_same_events_in_same_order(self, kind, cell):
         batched, _ = observed(kind, cell, True)
         reference, _ = observed(kind, cell, False)
         assert [e["type"] for e in batched] == [e["type"] for e in reference]
-        # Event minutes are trace steps, except the battery's depletion
-        # minute, which comes from the harvest summed in another order.
-        np.testing.assert_allclose(
-            [e["minute"] for e in batched], [e["minute"] for e in reference],
-            rtol=1e-12, atol=0.0,
-        )
+        # Every field too: the battery's depletion minute comes from a
+        # harvest added in the loop's order.
+        assert batched == reference
 
     @pytest.mark.parametrize("kind, cell", DAYS)
     def test_same_sim_and_controller_counters(self, kind, cell):
@@ -224,14 +227,11 @@ class TestEventParity:
                 switches += 1
                 assert got["source"] == want["source"]
                 for name in ("available_solar_w", "load_floor_w"):
-                    assert got[name] == pytest.approx(want[name], rel=1e-9)
+                    assert got[name] == want[name]
             elif got["type"] == "energy_balance":
-                for name in ("solar_wh", "utility_wh", "load_wh"):
-                    assert got[name] == pytest.approx(want[name], rel=1e-9)
-                # The residual is round-off: bound it by the day's load.
-                assert abs(got["residual_wh"] - want["residual_wh"]) <= (
-                    1e-9 * want["load_wh"]
-                )
+                # The ledger adds its terms in the loop's order.
+                for name in ("solar_wh", "utility_wh", "load_wh", "residual_wh"):
+                    assert got[name] == want[name]
         if KINDS[kind]["kind"] == "mppt":
             assert switches > 0
 
@@ -248,3 +248,58 @@ class TestSeriesParity:
             left, right = getattr(batched, name), getattr(reference, name)
             assert (left.dtype, left.shape) == (right.dtype, right.shape), name
             assert left.tobytes() == right.tobytes(), name
+
+
+def per_minute(monkeypatch, day):
+    """``day()`` with the batched path declined, so the loop steps it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fastday, "run_fast", lambda engine, tel: False)
+        return day()
+
+
+#: The configurations of the matrix: minute steps unless named.
+MATRIX_CONFIGS = {
+    "default": {},
+    "featureful": dict(
+        supply_change_fraction=0.1, adaptive_margin=True, realloc_after_track=True,
+    ),
+    "no-pcpg-10min": dict(enable_pcpg=False, step_minutes=10.0),
+    "biglittle": dict(chip_spec="biglittle"),
+}
+
+MATRIX = [
+    pytest.param(solver, config, kind, cell,
+                 id=f"{solver}-{config}-{kind}-{cell[0]}{cell[1]}")
+    for solver in ("exact", "table")
+    for config in MATRIX_CONFIGS
+    for kind in KINDS
+    for cell in CELLS
+]
+
+
+class TestBatchedEqualsPerMinute:
+    """Every batched day holds the per-minute loop's bytes."""
+
+    @pytest.mark.parametrize("solver, config, kind, cell", MATRIX)
+    def test_day_byte_identical(self, solver, config, kind, cell, fast_runs,
+                                monkeypatch):
+        cfg = SolarCoreConfig(solver=solver, **MATRIX_CONFIGS[config])
+        spec = task(kind, cell)
+        batched = compute_task(spec, cfg)
+        assert fast_runs == [True]
+        reference = per_minute(monkeypatch, lambda: compute_task(spec, cfg))
+        assert_same_bytes(reference, batched)
+
+    @pytest.mark.parametrize("day", [run_day, run_day_fixed],
+                             ids=["mppt", "fixed"])
+    def test_shaded_string_table_day(self, day, fast_runs, monkeypatch):
+        # No surface represents the shaded string: the table day's events
+        # run the exact solvers, and its spans still batch.
+        def run():
+            args = (75.0,) if day is run_day_fixed else ()
+            return day("HM2", PHOENIX_AZ, 7, *args, config=TABLE,
+                       array=ShadedSeriesString((1.0, 0.4)))
+
+        batched = run()
+        assert fast_runs == [True]
+        assert_same_bytes(per_minute(monkeypatch, run), batched)

@@ -188,7 +188,7 @@ class TestRendering:
         assert "cpus=" in text
         assert "solver" in text
         assert "phases" in text
-        assert "step.policy" in text
+        assert "step.events" in text
 
     def test_render_manifest_minimal(self):
         text = render_manifest(build_manifest("simulate"))

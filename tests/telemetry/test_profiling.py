@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import SolarCoreConfig
 from repro.core.dayenv import clear_environments
 from repro.core.simulation import run_day
+from repro.environment.irradiance import generate_trace
 from repro.environment.locations import location_by_code
 from repro.harness.parallel import grid_tasks
 from repro.harness.runner import SimulationRunner
@@ -272,13 +273,18 @@ class TestDayIntegration:
         # Solver work is counted: every brentq call books its iterations.
         assert counters["power.brentq_calls"] > 0
         assert counters["power.brentq_iterations"] > counters["power.brentq_calls"]
-        # The environment is resolved once; the partition phases ran once
-        # per step, and no step solves the MPP the environment holds.
+        # The environment is resolved once, and no step solves the MPP the
+        # environment holds.  The exact day batches: its event steps (every
+        # tracking event among them) run the policy, and one array program
+        # accounts for every step.
         assert table["day.environment"].count == 1
-        steps = table["step.trace"].count
-        assert steps > 0
-        for name in ("step.supply", "step.policy", "step.record"):
-            assert table[name].count == steps
+        assert {"day.chip_arrays", "step.scan", "step.events", "step.spans",
+                "day.build"} <= set(day.phases)
+        assert table["step.spans"].count == 1
+        steps = len(generate_trace(
+            location_by_code("AZ"), 7, step_minutes=CFG.step_minutes
+        ).minutes) - 1
+        assert counters["sim.tracking_events"] <= table["step.events"].count < steps
         assert "step.mpp_solve" not in table
 
     def test_fault_day_on_the_irradiance_times_each_solve(self):
@@ -335,8 +341,8 @@ class TestDayIntegration:
                               ("ORNL", 7)}
         assert all(len(days) == 2 for days in cells.values())
         # Merged timer counts line up with the summed per-day counts.
-        steps = sum(day.phases["step.trace"][0] for day in table.days)
-        assert table["step.trace"].count == steps
+        events = sum(day.phases["step.events"][0] for day in table.days)
+        assert table["step.events"].count == events > 0
         assert table["run_day"].count == len(tasks)
         assert table.coverage >= 0.95
         assert hub.snapshot()["counters"]["power.brentq_calls"] > 0

@@ -217,7 +217,7 @@ class TestProfile:
         ]) == 0
         out = capsys.readouterr().out
         assert "profiled 1 x" in out
-        assert "step.policy" in out
+        assert "step.events" in out
         assert "power.brentq_calls" in out
         assert "attributed" in out
 
@@ -229,7 +229,7 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "utilization" in out
         assert "day.environment" in out
-        assert "step.policy" in out
+        assert "step.events" in out
 
     def test_profile_flag_without_simulation_explains(self, capsys):
         assert main(["list", "--profile"]) == 0
